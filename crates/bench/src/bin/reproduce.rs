@@ -95,7 +95,7 @@ fn smoke() {
         &json,
         "Minsns/s",
         hostbench::SMOKE_COMPUTE_SCENARIO,
-        false,
+        true,
         "minsns_per_sec",
         compute.minsns_per_sec / compute_ref.minsns_per_sec.max(1e-9),
     );

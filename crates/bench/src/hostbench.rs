@@ -205,8 +205,8 @@ pub fn run_all() -> Vec<Scenario> {
 pub const SMOKE_SCENARIO: &str = "traps/no_agent";
 
 /// The compute scenario the CI smoke check guards: the bare compute loop
-/// on the fused engine (sliced scheduler, no fast path — no traps to
-/// dispatch), gating interpreter throughput in Minsns/s.
+/// on the default configuration (sliced scheduler, fused engine, fast
+/// path on), gating interpreter throughput in Minsns/s.
 pub const SMOKE_COMPUTE_SCENARIO: &str = "compute/no_agent";
 
 /// Measures [`SMOKE_SCENARIO`] on the guarded hot path (fused engine,
@@ -228,9 +228,9 @@ pub fn run_smoke() -> (Scenario, Scenario) {
     })
 }
 
-/// Measures [`SMOKE_COMPUTE_SCENARIO`] on the fused engine plus its
-/// plain-engine reference, same pairing and best-of discipline as
-/// [`run_smoke`].
+/// Measures [`SMOKE_COMPUTE_SCENARIO`] on the default configuration
+/// (fused engine, fast path on) plus its plain-engine reference, same
+/// pairing and best-of discipline as [`run_smoke`].
 #[must_use]
 pub fn run_smoke_compute() -> (Scenario, Scenario) {
     let compute = compute_image(COMPUTE_ITERS);
@@ -241,7 +241,7 @@ pub fn run_smoke_compute() -> (Scenario, Scenario) {
                 &compute,
                 AgentCfg::None,
                 false,
-                false,
+                true,
                 true,
             ),
             scenario(

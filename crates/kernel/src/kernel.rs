@@ -107,7 +107,8 @@ pub(crate) struct FlockState {
 /// the virtual-time model and never influence it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Execution bursts handed to the VM (`run_slice` calls).
+    /// Turns executed: one per slice-sized virtual turn, whether it ran as
+    /// its own scheduler round or inside a multi-turn fused burst.
     pub slices: u64,
     /// Top-of-loop scheduler iterations.
     pub sched_iterations: u64,
@@ -121,12 +122,12 @@ pub struct PerfCounters {
     pub idle_advances: u64,
 }
 
-/// Host-side hit/miss counters for the in-loop syscall fast path, keyed by
-/// `(pid, raw syscall number)`. A *hit* is a trap answered inside the VM
-/// loop; a *miss* is a trap on a fast-answerable number that went through
-/// the ordinary dispatcher instead (fast path off, chain interested, other
-/// processes runnable, …). Like [`PerfCounters`], these measure the
-/// simulator, never the simulated machine.
+/// Host-side hit/miss counters for the trap lane, keyed by `(pid, raw
+/// syscall number)`. A *hit* is a trap the fused burst answered inside the
+/// VM loop; a *miss* is a trap on a fast-answerable number that went
+/// through the ordinary dispatcher instead (fast path off, plain engine,
+/// chain interested, other processes runnable, …). Like [`PerfCounters`],
+/// these measure the simulator, never the simulated machine.
 #[derive(Debug, Clone, Default)]
 pub struct FastPathStats {
     /// `(pid, raw syscall number) → (hits, misses)`.
@@ -172,11 +173,13 @@ impl FastPathStats {
 /// it *is* the reference — so this knob only selects the `run_slice` body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The plain `run_slice` interpreter, retained as the differential
-    /// reference (the sliced/legacy split of PR 1, one level up).
+    /// The plain `run_slice` interpreter, one turn per scheduler round and
+    /// no trap lane, retained as the differential reference (the
+    /// sliced/legacy split of PR 1, one level up).
     Plain,
-    /// The superinstruction engine: `run_slice_fused` over the per-image
-    /// [`ia_vm::FusedProgram`]. Bit-identical accounting, fewer dispatches.
+    /// The superinstruction engine: `run_burst_fused` over the per-image
+    /// [`ia_vm::FusedProgram`], with multi-turn bursts and the trap lane.
+    /// Bit-identical accounting, fewer dispatches.
     #[default]
     Fused,
 }
@@ -260,9 +263,9 @@ pub struct Kernel {
     /// Flight recorder + per-layer metrics (ia-obs). Disabled by default;
     /// every hook is observably inert (never advances the virtual clock).
     pub obs: ia_obs::Obs,
-    /// Enables the trap fast path (flat dispatch tables and the in-loop
-    /// vDSO lane). On by default; the conform oracle turns it off to prove
-    /// the fast and slow paths are bit-identical.
+    /// Enables the trap fast path (flat dispatch tables and the fused
+    /// burst's vDSO lane). On by default; the conform oracle turns it off
+    /// to prove the fast and slow paths are bit-identical.
     pub fast_path: bool,
     /// Fast-path hit/miss counters (host-side; see [`FastPathStats`]).
     pub fast_stats: FastPathStats,
@@ -347,8 +350,8 @@ impl KernelBuilder {
         self
     }
 
-    /// The trap fast path — flat dispatch tables and the in-loop vDSO
-    /// lane (default on; the conform oracle pins it both ways).
+    /// The trap fast path — flat dispatch tables and the fused burst's
+    /// vDSO lane (default on; the conform oracle pins it both ways).
     pub fn fast_path(mut self, on: bool) -> KernelBuilder {
         self.fast_path = on;
         self

@@ -9,12 +9,17 @@
 //!
 //! Two schedulers share all trap/signal machinery:
 //!
-//! * [`run`] — the hot path. Each turn executes a whole slice through
-//!   [`run_slice`] with the process borrowed once, charges the virtual
-//!   clock once by the batched retired count (bit-identical to per-insn
-//!   charging, since the per-instruction cost is a constant), and finds
-//!   the next process / next deadline through the kernel's runnable set
-//!   and timer heaps instead of scanning every process.
+//! * [`run`] — the hot path. Each turn executes a whole slice with the
+//!   process borrowed once, charges the virtual clock once by the batched
+//!   retired count (bit-identical to per-insn charging, since the
+//!   per-instruction cost is a constant), and finds the next process /
+//!   next deadline through the kernel's runnable set and timer heaps
+//!   instead of scanning every process. Its one production execution loop
+//!   is [`run_burst_fused`]: when nothing can preempt it runs many turns
+//!   per call, and with the fast path on its trap lane answers `getpid` /
+//!   `gettimeofday` in the loop from the router's [`FastSpec`] (DESIGN
+//!   §11). `Engine::Plain` runs one [`run_slice`] turn per round with no
+//!   lane — the differential reference.
 //! * [`run_legacy`] — the original per-instruction, scan-everything loop,
 //!   kept verbatim as the reference implementation. The differential
 //!   tests in `crates/bench` run workloads under both and require
@@ -27,63 +32,15 @@ use ia_abi::signal::{DefaultAction, SigDisposition, Signal};
 use ia_abi::types::SigContext;
 use ia_abi::wire::Wire;
 use ia_abi::{Errno, RawArgs, Sysno};
-use ia_vm::fuse::{run_burst_fused, FUSED_KINDS};
-use ia_vm::machine::{
-    run_fast, run_slice, step, BatchCall, FastEnd, FastMode, FastParams, SliceEnd, SliceResult,
-    StepEvent,
-};
+use ia_vm::fuse::{run_burst_fused, FusedBurst, FUSED_KINDS};
+pub use ia_vm::machine::FastSpec;
+use ia_vm::machine::{run_slice, step, BatchCall, LaneAnswers, SliceEnd, StepEvent, TrapLane};
 
 use crate::kernel::{Engine, Kernel, SysOutcome, WakeEvent};
 use crate::process::{PendingTrap, Pid, ProcState, WaitChannel};
 
 /// Instructions per scheduling slice.
 pub const SLICE: u32 = 100;
-
-/// The per-process answer table for the in-loop syscall fast path — the
-/// router's verdict on which fast-answerable numbers may be answered
-/// inside the VM loop for one process, computed from the installed agent
-/// chain at lane entry (and therefore invalidated for free on any chain
-/// mutation: the next lane entry recomputes it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastSpec {
-    /// How `getpid` may be answered.
-    pub getpid: FastMode,
-    /// How `gettimeofday` may be answered.
-    pub gtod: FastMode,
-    /// Syscall number of the router's pending vectored batch, if any.
-    pub pending_nr: Option<u32>,
-    /// Calls already in the router's pending batch.
-    pub pending_len: u32,
-    /// The router's batch capacity (flush threshold).
-    pub batch_cap: u32,
-}
-
-impl FastSpec {
-    /// Everything off: never answer in the loop.
-    pub const OFF: FastSpec = FastSpec {
-        getpid: FastMode::Off,
-        gtod: FastMode::Off,
-        pending_nr: None,
-        pending_len: 0,
-        batch_cap: u32::MAX,
-    };
-
-    /// Everything answered directly with no agent involvement.
-    pub const DIRECT: FastSpec = FastSpec {
-        getpid: FastMode::Direct,
-        gtod: FastMode::Direct,
-        pending_nr: None,
-        pending_len: 0,
-        batch_cap: u32::MAX,
-    };
-
-    /// True when at least one number is answerable, i.e. entering the
-    /// lane can make progress.
-    #[must_use]
-    pub fn lane_enabled(&self) -> bool {
-        self.getpid != FastMode::Off || self.gtod != FastMode::Off
-    }
-}
 
 /// How a trap reaches an implementation of the system interface.
 pub trait SyscallRouter {
@@ -111,9 +68,9 @@ pub trait SyscallRouter {
     /// cleanup, e.g. agent chains).
     fn on_process_exit(&mut self, _k: &mut Kernel, _pid: Pid) {}
 
-    /// The in-loop fast-path answer table for `pid`, consulted at each lane
-    /// entry. The conservative default keeps everything on the ordinary
-    /// dispatch path.
+    /// The trap lane's answer table for `pid`, consulted at each fused
+    /// burst entry. The conservative default keeps everything on the
+    /// ordinary dispatch path.
     fn fast_spec(&mut self, _k: &Kernel, _pid: Pid) -> FastSpec {
         FastSpec::OFF
     }
@@ -251,41 +208,18 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
             continue;
         }
 
-        // The in-loop fast path: when this is the only runnable process,
-        // nothing is observing, and no timer or timed select could fire
-        // mid-burst, traps with a fast answer table entry are handled
-        // inside the VM loop — no scheduler round, no dispatcher — with
-        // accounting bit-identical to the ordinary turns below.
-        if k.fast_path
-            && !k.obs.is_enabled()
-            && k.run_queue.len() == 1
-            && k.timer_heap.is_empty()
-            && k.select_heap.is_empty()
-        {
-            let spec = router.fast_spec(k, pid);
-            if spec.lane_enabled() {
-                let (used, ret) = fast_lane(k, router, pid, spec, limits.max_steps - steps);
-                steps += used;
-                if let Some(out) = ret {
-                    return out;
-                }
-                if steps >= limits.max_steps {
-                    return limit_outcome(k);
-                }
-                continue;
-            }
-        }
-
         // Run one slice as a single burst. The budget never exceeds the
         // remaining step allowance, so the legacy mid-slice limit check
         // falls out of the `Expired` arm below.
         //
         // When nothing could preempt between turns — fused engine, a single
         // runnable process, no armed timer or timed select, no pending
-        // wakeup, observability off — the whole compute stretch runs as one
-        // [`run_burst_fused`] call of back-to-back turns. Per-turn slice
-        // boundaries, pair splits and accounting are preserved exactly;
-        // only the per-turn scheduler round is amortised.
+        // wakeup, observability off — the whole stretch runs as one
+        // [`run_burst_fused`] call of back-to-back turns, and with the fast
+        // path on its trap lane answers the traps the router's table covers
+        // inside the loop. Per-turn slice boundaries, pair splits and
+        // accounting are preserved exactly; only the per-turn scheduler
+        // round (and, for answered traps, the dispatcher) is amortised.
         let remaining = limits.max_steps.saturating_sub(steps).max(1);
         let fused_engine = k.engine == Engine::Fused;
         let burst_ok = fused_engine
@@ -294,6 +228,20 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
             && k.select_heap.is_empty()
             && k.wakeups.is_empty()
             && !k.obs.is_enabled();
+        let lane = if burst_ok && k.fast_path {
+            let spec = router.fast_spec(k, pid);
+            spec.lane_enabled().then(|| TrapLane {
+                spec,
+                pid: u64::from(pid),
+                insn_ns: k.profile.insn_ns,
+                clock_base_ns: k.clock.elapsed_ns(),
+                epoch_secs: k.clock.epoch_secs(),
+                getpid_cost_ns: k.profile.syscall_base_ns(Sysno::Getpid),
+                gtod_cost_ns: k.profile.syscall_base_ns(Sysno::Gettimeofday),
+            })
+        } else {
+            None
+        };
         let max = if burst_ok {
             remaining
         } else {
@@ -307,49 +255,57 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
             continue;
         };
         let mut fuse_hits = [0u64; FUSED_KINDS];
-        let (res, turns, end_turn_retired) = if fused_engine {
-            let b = run_burst_fused(
+        let b = if fused_engine {
+            run_burst_fused(
                 &mut p.vm,
                 &mut p.mem,
                 &p.fused,
                 u64::from(SLICE),
                 max,
+                lane.as_ref(),
                 &mut fuse_hits,
-            );
-            (
-                SliceResult {
-                    retired: b.retired,
-                    end: b.end,
-                },
-                b.turns,
-                b.end_turn_retired,
             )
         } else {
             let r = run_slice(&mut p.vm, &mut p.mem, &p.code, max);
-            let end_turn_retired = r.retired;
-            (r, 1, end_turn_retired)
+            FusedBurst {
+                retired: r.retired,
+                turns: 1,
+                full_turns: 0,
+                end_turn_retired: r.retired,
+                end: r.end,
+                answers: LaneAnswers::default(),
+            }
         };
-        p.usage.user_insns += res.retired;
-        // Every completed turn before the burst's final one filled its
-        // slice and charges one involuntary switch, as its own round would.
-        p.usage.nivcsw += turns - 1;
+        let answered = b.answers.count();
+        p.usage.user_insns += b.retired;
+        p.usage.sys_ns += b.answers.cost_ns;
+        p.usage.nsyscalls += answered;
+        p.usage.nvcsw += answered;
+        // Every completed turn before the burst's final one that filled its
+        // slice charges one involuntary switch, as its own round would.
+        p.usage.nivcsw += b.full_turns;
         if fused_engine {
             k.fusion_stats.add(&fuse_hits);
         }
-        k.perf.slices += turns;
-        k.perf.sched_iterations += turns - 1;
-        k.total_insns += res.retired;
-        k.clock.advance_ns(res.retired * k.profile.insn_ns);
-        k.obs.slice(pid, res.retired, k.clock.elapsed_ns());
+        k.perf.slices += b.turns;
+        k.perf.sched_iterations += b.turns - 1;
+        k.total_insns += b.retired;
+        k.total_syscalls += answered;
+        k.clock
+            .advance_ns(b.retired * k.profile.insn_ns + b.answers.cost_ns);
+        k.obs.slice(pid, b.retired, k.clock.elapsed_ns());
+        if answered > 0 {
+            settle_answers(k, router, pid, &b.answers);
+        }
 
         // A trailing halt or fault consumed a scheduler step without
         // retiring an instruction (the legacy loop counted the attempt).
         let iterations =
-            end_turn_retired + u64::from(matches!(res.end, SliceEnd::Halted | SliceEnd::Fault(_)));
-        steps += (res.retired - end_turn_retired) + iterations;
+            b.end_turn_retired + u64::from(matches!(b.end, SliceEnd::Halted | SliceEnd::Fault(_)));
+        steps += (b.retired - b.end_turn_retired) + iterations;
         let full_slice = iterations == u64::from(SLICE);
 
-        match res.end {
+        match b.end {
             SliceEnd::Expired => {
                 if steps >= limits.max_steps {
                     // The legacy loop returned from inside the slice here,
@@ -378,6 +334,7 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
             SliceEnd::Fault(sig) => {
                 handle_fault(k, router, pid, sig);
             }
+            SliceEnd::Answered => {}
         }
         if full_slice {
             if let Some(p) = k.procs.get_mut(&pid) {
@@ -506,104 +463,24 @@ pub fn run_legacy<R: SyscallRouter>(
     }
 }
 
-/// One fast-lane burst: runs [`run_fast`] on the chosen process and applies
-/// its totals to the kernel exactly as the equivalent sequence of ordinary
-/// turns would have (clock, rusage counters, syscall totals), then routes
-/// the router-visible effects through [`SyscallRouter::note_fast_direct`]
-/// and [`SyscallRouter::absorb_batch`] and dispatches any trailing event.
-///
-/// Returns `(steps_consumed, Some(outcome))` to end the run, or
-/// `(steps_consumed, None)` to continue the outer loop (the caller still
-/// performs the step-limit check, mirroring the ordinary turn epilogue).
-fn fast_lane<R: SyscallRouter>(
-    k: &mut Kernel,
-    router: &mut R,
-    pid: Pid,
-    spec: FastSpec,
-    remaining: u64,
-) -> (u64, Option<RunOutcome>) {
-    let params = FastParams {
-        slice: SLICE,
-        remaining,
-        insn_ns: k.profile.insn_ns,
-        clock_base_ns: k.clock.elapsed_ns(),
-        epoch_secs: k.clock.epoch_secs(),
-        pid: u64::from(pid),
-        getpid: spec.getpid,
-        gtod: spec.gtod,
-        getpid_cost_ns: k.profile.syscall_base_ns(Sysno::Getpid),
-        gtod_cost_ns: k.profile.syscall_base_ns(Sysno::Gettimeofday),
-        pending_nr: spec.pending_nr,
-        pending_len: spec.pending_len,
-        batch_cap: spec.batch_cap,
-    };
-    let Some(p) = k.procs.get_mut(&pid) else {
-        // Mirrors the ordinary missing-process turn: one step, move on.
-        return (1, None);
-    };
-    let run = run_fast(&mut p.vm, &mut p.mem, &p.code, &params);
-    p.usage.user_insns += run.retired;
-    p.usage.sys_ns += run.cost_ns;
-    p.usage.nsyscalls += run.answered;
-    p.usage.nvcsw += run.answered;
-    p.usage.nivcsw += run.full_turns;
-    k.perf.slices += 1;
-    k.total_insns += run.retired;
-    k.total_syscalls += run.answered;
-    k.clock
-        .advance_ns(run.retired * k.profile.insn_ns + run.cost_ns);
-
-    if run.direct_getpid > 0 {
-        let nr = Sysno::Getpid.number();
-        k.fast_stats.note_hits(pid, nr, run.direct_getpid);
-        router.note_fast_direct(k, pid, nr, run.direct_getpid);
+/// Hands the router what the trap lane answered in a burst — the
+/// pay-per-use counters of direct answers and the collected batch, which it
+/// absorbs (and, at capacity, flushes) as if each call had been routed —
+/// and records the hits.
+fn settle_answers<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid, a: &LaneAnswers) {
+    for (nr, n) in [
+        (Sysno::Getpid, a.direct_getpid),
+        (Sysno::Gettimeofday, a.direct_gtod),
+    ] {
+        if n > 0 {
+            k.fast_stats.note_hits(pid, nr.number(), n);
+            router.note_fast_direct(k, pid, nr.number(), n);
+        }
     }
-    if run.direct_gtod > 0 {
-        let nr = Sysno::Gettimeofday.number();
-        k.fast_stats.note_hits(pid, nr, run.direct_gtod);
-        router.note_fast_direct(k, pid, nr, run.direct_gtod);
-    }
-    if !run.collected.is_empty() {
+    if !a.collected.is_empty() {
         k.fast_stats
-            .note_hits(pid, run.collected_nr, run.collected.len() as u64);
-        router.absorb_batch(k, pid, run.collected_nr, &run.collected);
-    }
-
-    let charge_trailing_nivcsw = |k: &mut Kernel| {
-        if let Some(p) = k.procs.get_mut(&pid) {
-            p.usage.nivcsw += 1;
-        }
-    };
-    match run.end {
-        FastEnd::Trap { nr, args } => {
-            dispatch(k, router, pid, nr, args, 0);
-            if run.end_turn_full {
-                charge_trailing_nivcsw(k);
-            }
-            (run.steps, None)
-        }
-        FastEnd::Halted => {
-            let status = k
-                .procs
-                .get(&pid)
-                .map(|p| (p.vm.regs[0] & 0xff) as u8)
-                .unwrap_or(0);
-            k.terminate(pid, ia_abi::signal::wait_status_exited(status));
-            router.on_process_exit(k, pid);
-            if run.end_turn_full {
-                charge_trailing_nivcsw(k);
-            }
-            (run.steps, None)
-        }
-        FastEnd::Fault(sig) => {
-            handle_fault(k, router, pid, sig);
-            if run.end_turn_full {
-                charge_trailing_nivcsw(k);
-            }
-            (run.steps, None)
-        }
-        FastEnd::StepLimit => (run.steps, Some(limit_outcome(k))),
-        FastEnd::CapBail => (run.steps, None),
+            .note_hits(pid, a.collected_nr, a.collected.len() as u64);
+        router.absorb_batch(k, pid, a.collected_nr, &a.collected);
     }
 }
 
@@ -626,7 +503,8 @@ fn is_runnable(k: &Kernel, pid: Pid) -> bool {
     )
 }
 
-/// Dispatches one trap through the router and applies the outcome.
+/// Dispatches one trap through the router and applies the outcome — every
+/// trap except those the fused burst's lane answered in the loop.
 #[inline(never)]
 fn dispatch<R: SyscallRouter>(
     k: &mut Kernel,
@@ -639,7 +517,8 @@ fn dispatch<R: SyscallRouter>(
     k.perf.trap_dispatches += 1;
     if nr == Sysno::Getpid.number() || nr == Sysno::Gettimeofday.number() {
         // A fast-answerable number took the ordinary path (fast path off,
-        // lane gate closed, mid-lane bail, or a legacy run): a miss.
+        // plain engine, burst gate closed, a table entry off, a batch-number
+        // change, or a legacy run): a miss.
         k.fast_stats.note_miss(pid, nr);
     }
     k.obs.trap_dispatch(pid, nr, restarts, k.clock.elapsed_ns());

@@ -2,7 +2,7 @@
 //! terminal outcomes.
 
 use ia_abi::signal::Signal;
-use ia_kernel::{run, KernelBuilder, KernelRouter, ProcState, RunLimits, RunOutcome};
+use ia_kernel::{run, Engine, KernelBuilder, KernelRouter, ProcState, RunLimits, RunOutcome};
 
 #[test]
 fn sigstop_stops_and_sigcont_resumes() {
@@ -82,6 +82,59 @@ fn run_limits_cap_runaway_programs() {
     assert_eq!(out, RunOutcome::StepLimit);
     assert!(before.elapsed().as_secs() < 5, "bounded promptly");
     assert_eq!(k.total_insns, 10_000);
+}
+
+/// The step limit binds on every engine, with or without the trap lane —
+/// including a limit that lands on an answered trap and `max_steps: 0`,
+/// which runs exactly one instruction everywhere.
+#[test]
+fn step_limit_binds_identically_with_and_without_the_lane() {
+    let prog = ia_vm::assemble(
+        r#"
+        main:
+            li r10, 2000000
+        l:  sys getpid
+            li r0, 0
+            li r1, 0
+            sys gettimeofday
+            addi r10, r10, -1
+            jnz r10, l
+            li r0, 0
+            sys exit
+        "#,
+    )
+    .unwrap();
+    for max_steps in [0, 1, 2, 3, 5, 100, 101, 1_000] {
+        let mut runs = Vec::new();
+        for engine in [Engine::Plain, Engine::Fused] {
+            for fast_path in [true, false] {
+                let mut k = KernelBuilder::new()
+                    .engine(engine)
+                    .fast_path(fast_path)
+                    .build();
+                k.spawn_image(&prog, &[b"l"], b"l");
+                let out = run(&mut k, &mut KernelRouter, RunLimits { max_steps });
+                assert_eq!(out, RunOutcome::StepLimit, "{engine:?} fast {fast_path}");
+                runs.push((
+                    format!("{engine:?} fast {fast_path}"),
+                    (
+                        k.total_insns,
+                        k.total_syscalls,
+                        k.clock.elapsed_ns(),
+                        k.observable(),
+                    ),
+                ));
+            }
+        }
+        for (label, r) in &runs[1..] {
+            assert_eq!(
+                *r, runs[0].1,
+                "max_steps {max_steps}: {label} vs {}",
+                runs[0].0
+            );
+        }
+        assert_eq!(runs[0].1 .0, max_steps.max(1), "max_steps {max_steps}");
+    }
 }
 
 #[test]

@@ -8,7 +8,9 @@
 //! threaded-dispatch inner loop — while keeping the pc and retired count in
 //! locals for the whole burst. [`run_burst_fused`] extends one turn to a
 //! whole run of back-to-back turns in a single call, so the scheduler can
-//! amortise its per-turn round over uninterruptible compute stretches.
+//! amortise its per-turn round over uninterruptible compute stretches; with
+//! a [`TrapLane`] it also answers `getpid`/`gettimeofday` traps in the loop
+//! (DESIGN §11), so a trap nobody interposes on does not end the burst.
 //!
 //! Two invariants make the rewrite invisible:
 //!
@@ -32,7 +34,10 @@
 use ia_abi::Signal;
 
 use crate::insn::{Insn, NREGS, SP};
-use crate::machine::{exec_insn, SliceEnd, SliceResult, StepEvent, VmState, SYS_NR_REG};
+use crate::machine::{
+    apply_sysret_regs, exec_insn, LaneAnswers, SliceEnd, SliceResult, StepEvent, TrapLane, VmState,
+    SYS_NR_REG,
+};
 use crate::mem::AddressSpace;
 
 /// The superinstruction families, in hit-counter order.
@@ -394,20 +399,27 @@ impl FusedProgram {
 
 /// One multi-turn fused burst: the exact totals of N consecutive
 /// [`run_slice_fused`] turns executed back to back without syncing the
-/// machine state between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// machine state between them, with the traps its lane answered.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusedBurst {
-    /// Constituents retired across the whole burst.
+    /// Constituents retired across the whole burst, answered traps
+    /// included.
     pub retired: u64,
-    /// Turns consumed, including the final (ending) one. Every turn before
-    /// the last filled its whole slice — only slice expiry continues a
-    /// burst.
+    /// Turns consumed, including the final (ending) one. Only slice expiry
+    /// and answered traps continue a burst.
     pub turns: u64,
-    /// Constituents retired by the final turn alone (each earlier turn
-    /// retired exactly one slice).
+    /// Turns before the final one that ran a whole slice — the involuntary
+    /// switches their own rounds would have charged. Every expired turn is
+    /// full; an answered trap's turn is full only if the trap was its last
+    /// slot.
+    pub full_turns: u64,
+    /// Constituents retired by the final turn alone.
     pub end_turn_retired: u64,
-    /// Why the burst stopped, in [`run_slice_fused`]'s terms.
+    /// Why the burst stopped, in [`run_slice_fused`]'s terms, or
+    /// [`SliceEnd::Answered`].
     pub end: SliceEnd,
+    /// What the trap lane answered (empty without a lane).
+    pub answers: LaneAnswers,
 }
 
 /// [`run_slice`](crate::machine::run_slice) over a fused program: same
@@ -422,7 +434,7 @@ pub fn run_slice_fused(
     max: u64,
     hits: &mut [u64; FUSED_KINDS],
 ) -> SliceResult {
-    let b = run_burst_fused(vm, mem, prog, max, max, hits);
+    let b = run_burst_fused(vm, mem, prog, max, max, None, hits);
     SliceResult {
         retired: b.retired,
         end: b.end,
@@ -438,6 +450,12 @@ pub fn run_slice_fused(
 /// and retires through [`exec_insn`] exactly as the one-turn-per-call path
 /// would (and, like there, a split pair is not a fusion hit).
 ///
+/// With a `lane`, a trap its answer table covers does not end the burst:
+/// it is answered in the loop exactly as the kernel handler would answer
+/// it, ends its turn as a dispatched trap would, and execution goes on in
+/// the next turn. The burst stops after an answered trap only at `max` or
+/// when the collected batch is full, with [`SliceEnd::Answered`].
+///
 /// The scheduler uses this to amortise its per-turn round (runnable pick,
 /// process-table lookup, clock and rusage bookkeeping) over whole compute
 /// bursts when nothing — timer, wakeup, other runnable process, observer —
@@ -449,14 +467,18 @@ pub fn run_burst_fused(
     prog: &FusedProgram,
     slice: u64,
     max: u64,
+    lane: Option<&TrapLane>,
     hits: &mut [u64; FUSED_KINDS],
 ) -> FusedBurst {
+    let mut answers = LaneAnswers::default();
     if vm.halted {
         return FusedBurst {
             retired: 0,
             turns: 1,
+            full_turns: 0,
             end_turn_retired: 0,
             end: SliceEnd::Halted,
+            answers,
         };
     }
     let mut pc = vm.pc;
@@ -465,6 +487,7 @@ pub fn run_burst_fused(
     // `turn_end`; `synced` counts constituents already recorded in
     // `vm.insns_retired` by split-pair fallbacks to `exec_insn`.
     let mut turns = 1u64;
+    let mut full_turns = 0u64;
     let mut turn_start = 0u64;
     let mut turn_end = slice.min(max);
     let mut synced = 0u64;
@@ -484,24 +507,21 @@ pub fn run_burst_fused(
     // Syncs the locals back into `vm` and returns. On a fault the pc stays
     // parked at the faulting (super)instruction, which at that point has
     // retired none of its constituents — identical to the plain engine.
-    macro_rules! flush_hits {
-        () => {
-            for (total, local) in hits.iter_mut().zip(h.iter()) {
-                *total += local;
-            }
-        };
-    }
     macro_rules! finish {
         ($end:expr) => {{
             vm.pc = pc;
             vm.regs = regs;
             vm.insns_retired += retired - synced;
-            flush_hits!();
+            for (total, local) in hits.iter_mut().zip(h.iter()) {
+                *total += local;
+            }
             return FusedBurst {
                 retired,
                 turns,
+                full_turns,
                 end_turn_retired: retired - turn_start,
                 end: $end,
+                answers,
             };
         }};
     }
@@ -512,6 +532,28 @@ pub fn run_burst_fused(
                 Err(_) => finish!(SliceEnd::Fault(Signal::SIGSEGV)),
             }
         };
+    }
+    // A retired `sys` (the pc already past it): the lane answers it and the
+    // next turn begins, or the burst ends for the scheduler to dispatch it.
+    macro_rules! trap {
+        () => {{
+            let nr = regs[SYS_NR_REG] as u32;
+            let args = [regs[0], regs[1], regs[2], regs[3], regs[4], regs[5]];
+            let Some(lane) = lane else {
+                finish!(SliceEnd::Syscall { nr, args })
+            };
+            let Some(ret) = lane.answer(&mut answers, mem, nr, args, retired) else {
+                finish!(SliceEnd::Syscall { nr, args })
+            };
+            apply_sysret_regs(&mut regs, ret);
+            if retired >= max || lane.batch_full(&answers) {
+                finish!(SliceEnd::Answered);
+            }
+            full_turns += u64::from(retired - turn_start == slice);
+            turns += 1;
+            turn_start = retired;
+            turn_end = retired + slice.min(max - retired);
+        }};
     }
 
     loop {
@@ -526,6 +568,7 @@ pub fn run_burst_fused(
                 if retired >= max {
                     finish!(SliceEnd::Expired);
                 }
+                full_turns += 1;
                 turns += 1;
                 turn_start = retired;
                 turn_end = retired + slice.min(max - retired);
@@ -709,32 +752,14 @@ pub fn run_burst_fused(
             F::Sys => {
                 pc += 1;
                 retired += 1;
-                vm.pc = pc;
-                vm.regs = regs;
-                vm.insns_retired += retired - synced;
-                flush_hits!();
-                let (nr, args) = vm.trap_args();
-                return FusedBurst {
-                    retired,
-                    turns,
-                    end_turn_retired: retired - turn_start,
-                    end: SliceEnd::Syscall { nr, args },
-                };
+                trap!();
             }
             F::Halt => {
                 // `step` counts the halt in `insns_retired` but not in the
                 // slice's `retired`, and leaves the pc on the halt.
                 vm.halted = true;
-                vm.pc = pc;
-                vm.regs = regs;
-                vm.insns_retired += retired - synced + 1;
-                flush_hits!();
-                return FusedBurst {
-                    retired,
-                    turns,
-                    end_turn_retired: retired - turn_start,
-                    end: SliceEnd::Halted,
-                };
+                vm.insns_retired += 1;
+                finish!(SliceEnd::Halted);
             }
             F::Nop => {
                 pc += 1;
@@ -807,17 +832,7 @@ pub fn run_burst_fused(
                 pc += 2;
                 retired += 2;
                 h[FusedKind::LiSys as usize] += 1;
-                vm.pc = pc;
-                vm.regs = regs;
-                vm.insns_retired += retired - synced;
-                flush_hits!();
-                let (nr, args) = vm.trap_args();
-                return FusedBurst {
-                    retired,
-                    turns,
-                    end_turn_retired: retired - turn_start,
-                    end: SliceEnd::Syscall { nr, args },
-                };
+                trap!();
             }
             F::LdAlu {
                 alu,
@@ -890,6 +905,7 @@ mod tests {
                     vm_f.apply_sysret(Ok([7, 0]));
                 }
                 SliceEnd::Halted | SliceEnd::Fault(_) => return hits,
+                SliceEnd::Answered => unreachable!("no lane"),
             }
         }
         panic!("program did not finish in 100k turns");
@@ -1209,7 +1225,7 @@ mod tests {
         let mut vm_b = VmState::new(0, 4096);
         let mut mem_b = AddressSpace::new(4096, 64);
         let mut hits_b = [0u64; FUSED_KINDS];
-        let burst = run_burst_fused(&mut vm_b, &mut mem_b, &prog, slice, max, &mut hits_b);
+        let burst = run_burst_fused(&mut vm_b, &mut mem_b, &prog, slice, max, None, &mut hits_b);
 
         let mut vm_t = VmState::new(0, 4096);
         let mut mem_t = AddressSpace::new(4096, 64);
@@ -1273,7 +1289,7 @@ mod tests {
         let mut vm = VmState::new(0, 256);
         let mut mem = AddressSpace::new(256, 0);
         let mut hits = [0u64; FUSED_KINDS];
-        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, &mut hits);
+        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, None, &mut hits);
         // 1 li + 149 fused countdown pairs = 299 retired over three turns.
         assert_eq!(b.retired, 299);
         assert_eq!(b.turns, 3);

@@ -43,7 +43,7 @@ pub use fuse::{run_slice_fused, FusedKind, FusedOp, FusedProgram, FUSED_KINDS, F
 pub use image::{Image, DATA_BASE, IMAGE_MAGIC};
 pub use insn::{Insn, Reg};
 pub use machine::{
-    BatchCall, FastEnd, FastMode, FastParams, FastRun, SliceEnd, SliceResult, StepEvent, VmState,
-    SYSRET_ERRNO, SYSRET_RV0, SYSRET_RV1, SYS_NR_REG,
+    BatchCall, FastMode, FastSpec, LaneAnswers, SliceEnd, SliceResult, StepEvent, TrapLane,
+    VmState, SYSRET_ERRNO, SYSRET_RV0, SYSRET_RV1, SYS_NR_REG,
 };
 pub use mem::{AddressSpace, DEFAULT_MEM_SIZE};
