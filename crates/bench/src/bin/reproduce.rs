@@ -128,9 +128,7 @@ fn main() {
             eprintln!("warning: could not write BENCH_2.json: {e}");
         }
         // Snapshot cost vs VFS size, branch-based txn sessions, and the
-        // multi-tenant fleet scaling sweep. Fleet first: spin-up latency
-        // is allocator-sensitive, so measure it on a fresh heap before
-        // the snapshot sweep churns it.
+        // multi-tenant fleet scaling sweep.
         let fleet = fleetbench::run_all();
         let json3 = snapbench::render_json(&snapbench::run_all(), &fleet);
         if let Err(e) = std::fs::write("BENCH_3.json", &json3) {
@@ -153,7 +151,6 @@ fn main() {
     if args.iter().any(|a| a == "--json3") {
         // Just the snapshot-cost + fleet document — much cheaper than the
         // full throughput sweep, and the one CI re-measures per push.
-        // Fleet first (fresh-heap spin-up measurement, as in --json).
         let fleet = fleetbench::run_all();
         let json3 = snapbench::render_json(&snapbench::run_all(), &fleet);
         print!("{json3}");

@@ -12,6 +12,9 @@
 //!   and client-instruction throughput driving the whole fleet to
 //!   completion on a work-stealing pool, at 1 thread and at
 //!   `min(8, host cores)` threads.
+//! * `resident_bytes_mean` / `resident_bytes_max` — the address-space
+//!   pages each tenant held at its peak, averaged and maxed over the
+//!   fleet (copy-on-write pages: only what a tenant writes is resident).
 
 use std::time::Instant;
 
@@ -41,6 +44,10 @@ pub struct FleetSample {
     pub insns_per_sec: f64,
     /// Successful work steals between workers.
     pub steals: u64,
+    /// Mean per-tenant peak of resident address-space bytes.
+    pub resident_bytes_mean: u64,
+    /// Largest per-tenant peak of resident address-space bytes.
+    pub resident_bytes_max: u64,
 }
 
 fn host_threads() -> usize {
@@ -87,26 +94,23 @@ fn measure(tenants: usize, threads: usize) -> FleetSample {
         syscalls_per_sec: report.syscalls_per_sec(),
         insns_per_sec: report.insns_per_sec(),
         steals: report.steals,
+        resident_bytes_mean: report.tenant_resident_mean,
+        resident_bytes_max: report.tenant_resident_max,
     }
 }
 
 /// Sweeps [`FLEET_SIZES`] at 1 thread and at `min(8, host cores)`
-/// threads (deduplicated on single-core hosts). Largest fleet first:
-/// spin-up latency is allocator-sensitive (dropping the first fleet's
-/// 1 MB address spaces retunes glibc's mmap threshold, after which
-/// spin-up allocations fall back to a churned sbrk heap), so the 10k+
-/// acceptance point must run on the fresh heap.
+/// threads (deduplicated on single-core hosts).
 #[must_use]
 pub fn run_all() -> Vec<FleetSample> {
     let par = host_threads();
     let mut out = Vec::new();
-    for tenants in FLEET_SIZES.iter().rev().copied() {
+    for tenants in FLEET_SIZES {
+        out.push(measure(tenants, 1));
         if par > 1 {
             out.push(measure(tenants, par));
         }
-        out.push(measure(tenants, 1));
     }
-    out.reverse();
     out
 }
 
@@ -119,7 +123,7 @@ pub fn render_section(samples: &[FleetSample]) -> String {
         s.push_str(&format!(
             "    {{\"tenants\": {}, \"threads\": {}, \"spin_up_ns_per_tenant\": {:.0}, \
              \"wall_ms\": {:.1}, \"syscalls_per_sec\": {:.0}, \"insns_per_sec\": {:.0}, \
-             \"steals\": {}}}{}\n",
+             \"steals\": {}, \"resident_bytes_mean\": {}, \"resident_bytes_max\": {}}}{}\n",
             f.tenants,
             f.threads,
             f.spin_up_ns_per_tenant,
@@ -127,6 +131,8 @@ pub fn render_section(samples: &[FleetSample]) -> String {
             f.syscalls_per_sec,
             f.insns_per_sec,
             f.steals,
+            f.resident_bytes_mean,
+            f.resident_bytes_max,
             if i + 1 < samples.len() { "," } else { "" },
         ));
     }
@@ -143,6 +149,7 @@ mod tests {
         assert_eq!(s.tenants, 32);
         assert!(s.syscalls_per_sec > 0.0);
         assert!(s.spin_up_ns_per_tenant > 0.0);
+        assert!(s.resident_bytes_mean > 0 && s.resident_bytes_mean <= s.resident_bytes_max);
         let sect = render_section(&[s]);
         assert!(sect.contains("\"tenants\": 32"));
         assert_eq!(sect.matches('{').count(), sect.matches('}').count());

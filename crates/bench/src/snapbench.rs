@@ -15,8 +15,10 @@
 //!   content bytes, i.e. what `snapshot()` cost before structural
 //!   sharing (and what an undo-log worst case degenerates to).
 //! * `kernel_snapshot_ns` — the full-world [`ia_kernel::Kernel::snapshot`]
-//!   over the same VFS with one resident process; dominated by the flat
-//!   1 MB address space, not the file count.
+//!   over the same VFS with one resident process. Its address space
+//!   shares pages copy-on-write, so a repeated capture copies no bytes:
+//!   it is O(resident pages) refcount bumps and does not grow with the
+//!   file count.
 //! * `txn_commit_host_ns` / `txn_abort_host_ns` — a fixed three-file
 //!   transactional session under [`ia_agents::TxnAgent`], run to
 //!   completion over a preloaded VFS of each size. Begin is the O(1)
@@ -179,8 +181,8 @@ pub fn run_all() -> Vec<Sample> {
             vfs_files: files,
             ns: vfs_eager_copy_ns(&mut k, files),
         });
-        // One resident process so the kernel capture includes the part
-        // that actually dominates it (the flat address space).
+        // One resident process so the kernel capture includes a process
+        // table entry and its address space.
         let img = assemble("main:\n li r0, 0\n sys exit\n").expect("trivial image");
         k.spawn_image(&img, &[b"idle"], b"idle");
         out.push(Sample {

@@ -67,7 +67,7 @@ impl<'a, 'b> SymCtx<'a, 'b> {
     /// Reads raw bytes from client memory.
     pub fn read_bytes(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, Errno> {
         let p = self.raw.kernel.proc(self.raw.pid)?;
-        Ok(p.mem.read_bytes(addr, len)?.to_vec())
+        Ok(p.mem.read_bytes(addr, len)?.into_owned())
     }
 
     /// Writes raw bytes into client memory.

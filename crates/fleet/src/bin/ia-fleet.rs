@@ -146,7 +146,8 @@ fn main() -> ExitCode {
         println!(
             "{{\"tenants\": {}, \"threads\": {}, \"spin_up_ns_per_tenant\": {:.0}, \
              \"wall_ms\": {:.1}, \"syscalls_per_sec\": {:.0}, \"insns_per_sec\": {:.0}, \
-             \"turns\": {}, \"steals\": {}, \"exec_cache\": {{\"hits\": {hits}, \"misses\": {misses}}}}}",
+             \"turns\": {}, \"steals\": {}, \"exec_cache\": {{\"hits\": {hits}, \"misses\": {misses}}}, \
+             \"tenant_resident_bytes\": {{\"mean\": {}, \"max\": {}}}}}",
             report.tenants,
             report.threads,
             spin_up_ns,
@@ -155,6 +156,8 @@ fn main() -> ExitCode {
             report.insns_per_sec(),
             report.total_turns,
             report.steals,
+            report.tenant_resident_mean,
+            report.tenant_resident_max,
         );
     } else {
         println!(
@@ -176,6 +179,10 @@ fn main() -> ExitCode {
         println!("  turns:     {} (quantum {quantum})", report.total_turns);
         println!("  steals:    {}", report.steals);
         println!("  exec cache: {hits} hits / {misses} misses");
+        println!(
+            "  resident:  {} B/tenant mean, {} B max",
+            report.tenant_resident_mean, report.tenant_resident_max
+        );
         println!("  exited:    {exited}/{}", report.tenants);
     }
     if exited != report.tenants {

@@ -129,17 +129,20 @@ pub struct Tenant {
     /// The tenant's interposition router.
     pub router: InterposedRouter,
     turns: u64,
+    peak_resident: u64,
 }
 
 impl Tenant {
     /// Wraps an already-assembled world.
     #[must_use]
     pub fn new(id: usize, kernel: Kernel, router: InterposedRouter) -> Tenant {
+        let peak_resident = kernel.resident_bytes() as u64;
         Tenant {
             id,
             kernel,
             router,
             turns: 0,
+            peak_resident,
         }
     }
 
@@ -198,6 +201,9 @@ pub struct TenantResult {
     pub obs: Observable,
     /// Quanta this tenant consumed.
     pub turns: u64,
+    /// Largest [`Kernel::resident_bytes`] seen at spawn and at the end of
+    /// each quantum: the address-space pages the tenant held on the host.
+    pub peak_resident_bytes: u64,
 }
 
 /// Aggregate numbers from one [`Fleet::run`].
@@ -217,6 +223,10 @@ pub struct FleetReport {
     pub total_turns: u64,
     /// Cross-tenant work-steals (load-balance indicator).
     pub steals: u64,
+    /// Mean over tenants of [`TenantResult::peak_resident_bytes`].
+    pub tenant_resident_mean: u64,
+    /// Largest [`TenantResult::peak_resident_bytes`] of any tenant.
+    pub tenant_resident_max: u64,
 }
 
 impl FleetReport {
@@ -347,6 +357,7 @@ impl Fleet {
                             },
                         );
                         t.turns += 1;
+                        t.peak_resident = t.peak_resident.max(t.kernel.resident_bytes() as u64);
                         turns.fetch_add(1, Ordering::Relaxed);
                         if outcome == RunOutcome::StepLimit && budget_left > fleet.quantum {
                             // Parked mid-run: back of the own deque, so
@@ -358,6 +369,7 @@ impl Fleet {
                                 outcome,
                                 obs: t.kernel.observable(),
                                 turns: t.turns,
+                                peak_resident_bytes: t.peak_resident,
                             };
                             results.lock().unwrap()[t.id] = Some(res);
                             live.fetch_sub(1, Ordering::AcqRel);
@@ -374,6 +386,7 @@ impl Fleet {
             .into_iter()
             .map(|r| r.expect("every tenant produces a result"))
             .collect();
+        let resident = results.iter().map(|r| r.peak_resident_bytes);
         let report = FleetReport {
             tenants: n,
             threads,
@@ -382,6 +395,8 @@ impl Fleet {
             total_insns: results.iter().map(|r| r.obs.total_insns).sum(),
             total_turns: turns.load(Ordering::Relaxed) as u64,
             steals: steals.load(Ordering::Relaxed) as u64,
+            tenant_resident_mean: resident.clone().sum::<u64>() / n.max(1) as u64,
+            tenant_resident_max: resident.max().unwrap_or(0),
         };
         (results, report)
     }

@@ -126,3 +126,27 @@ fn seeds_produce_distinct_observables() {
         );
     }
 }
+
+/// Every tenant reports the address-space pages it held, and the report
+/// aggregates them. Quantum boundaries fall at the same steps on any
+/// thread count, so the per-tenant peak does not depend on the schedule.
+#[test]
+fn resident_bytes_are_reported_per_tenant() {
+    let base = build_base();
+    let (a, ra) = Fleet::new(1).quantum(2_000).run(spawn_fleet(&base));
+    let (b, rb) = Fleet::new(THREADS).quantum(2_000).run(spawn_fleet(&base));
+    for i in 0..SEEDS {
+        assert!(a[i].peak_resident_bytes > 0, "tenant {i} held no page");
+        assert_eq!(
+            a[i].peak_resident_bytes, b[i].peak_resident_bytes,
+            "tenant {i}"
+        );
+    }
+    let max = a.iter().map(|r| r.peak_resident_bytes).max().unwrap();
+    assert_eq!(ra.tenant_resident_max, max);
+    assert!(ra.tenant_resident_mean > 0 && ra.tenant_resident_mean <= max);
+    assert_eq!(
+        (ra.tenant_resident_mean, ra.tenant_resident_max),
+        (rb.tenant_resident_mean, rb.tenant_resident_max)
+    );
+}

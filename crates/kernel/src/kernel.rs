@@ -678,6 +678,14 @@ impl Kernel {
             .count()
     }
 
+    /// Host bytes of the address-space pages all processes hold
+    /// ([`AddressSpace::resident_bytes`]); a page shared after `fork`
+    /// counts once per holder.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.procs.values().map(|p| p.mem.resident_bytes()).sum()
+    }
+
     /// The recorded wait-status of an exited (and reaped) process.
     #[must_use]
     pub fn exit_status(&self, pid: Pid) -> Option<u32> {

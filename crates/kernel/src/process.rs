@@ -212,14 +212,27 @@ impl Process {
         self.euid == 0 || self.euid == other.euid || self.uid == other.uid
     }
 
-    /// Builds the `fork` child: identical machine state and descriptors,
-    /// but the address space is duplicated through
-    /// [`AddressSpace::fork_clone`], which copies only the regions the
-    /// parent has actually written instead of the whole space. The child
-    /// starts runnable with fresh usage counters, no timer, no pending
-    /// signals, and a 0 return value in its registers.
+    /// An identical copy whose address space shares every page with this
+    /// one ([`AddressSpace::share_clone`]); what a kernel snapshot holds.
     #[must_use]
-    pub fn fork_child(&self, child_pid: Pid) -> Process {
+    pub fn share_clone(&mut self) -> Process {
+        // Lift the space out so that cloning the other fields skips it.
+        let mut mem = std::mem::replace(&mut self.mem, AddressSpace::new(0, 0));
+        let copy = Process {
+            mem: mem.share_clone(),
+            ..self.clone()
+        };
+        self.mem = mem;
+        copy
+    }
+
+    /// Builds the `fork` child: identical machine state and descriptors,
+    /// and an address space that shares every page with the parent's
+    /// ([`AddressSpace::share_clone`]) until either side writes to it. The
+    /// child starts runnable with fresh usage counters, no timer, no
+    /// pending signals, and a 0 return value in its registers.
+    #[must_use]
+    pub fn fork_child(&mut self, child_pid: Pid) -> Process {
         let mut vm = self.vm.clone();
         vm.apply_sysret(Ok([0, 0]));
         let mut sig = self.sig.clone();
@@ -229,7 +242,7 @@ impl Process {
             ppid: self.pid,
             pgrp: self.pgrp,
             vm,
-            mem: self.mem.fork_clone(),
+            mem: self.mem.share_clone(),
             code: Arc::clone(&self.code),
             fused: Arc::clone(&self.fused),
             state: ProcState::Runnable,

@@ -62,8 +62,11 @@ pub struct ClientView {
 /// scheduler queues, timers, clocks and counters.
 ///
 /// The filesystem part shares structure with the live kernel (O(1), see
-/// [`ia_vfs::FsSnapshot`]); process address spaces are copied, so the total
-/// cost is O(resident client memory).
+/// [`ia_vfs::FsSnapshot`]), and process address spaces share their pages
+/// copy-on-write ([`ia_vm::AddressSpace::share_clone`]): a capture copies only
+/// the pages written since the last capture or fork, and otherwise costs
+/// O(pages) refcount bumps, as does a restore. The live side copies a
+/// shared page when it next writes to it.
 ///
 /// Deliberately **not** captured:
 ///
@@ -112,7 +115,11 @@ impl Kernel {
             console: self.console.clone(),
             files: self.files.clone(),
             sockets: self.sockets.clone(),
-            procs: self.procs.clone(),
+            procs: self
+                .procs
+                .iter_mut()
+                .map(|(&pid, p)| (pid, p.share_clone()))
+                .collect(),
             next_pid: self.next_pid,
             wakeups: self.wakeups.clone(),
             exit_log: self.exit_log.clone(),

@@ -1,5 +1,7 @@
 //! Descriptor I/O system calls.
 
+use std::borrow::Cow;
+
 use ia_abi::signal::Signal;
 use ia_abi::types::IoVec;
 use ia_abi::{Errno, FcntlCmd, OpenFlags, RawArgs, Timeval, Whence};
@@ -187,7 +189,7 @@ impl Kernel {
         let data = match self.proc(pid).and_then(|p| {
             p.mem
                 .read_bytes(args[1], (args[2] as usize).min(MAX_IO))
-                .map(<[u8]>::to_vec)
+                .map(Cow::into_owned)
         }) {
             Ok(d) => d,
             Err(e) => return SysOutcome::err(e),
@@ -254,7 +256,7 @@ impl Kernel {
             match self.proc(pid).and_then(|p| {
                 p.mem
                     .read_bytes(v.base, (v.len as usize).min(MAX_IO - data.len()))
-                    .map(<[u8]>::to_vec)
+                    .map(Cow::into_owned)
             }) {
                 Ok(d) => data.extend(d),
                 Err(e) => return SysOutcome::err(e),

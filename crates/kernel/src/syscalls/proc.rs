@@ -26,9 +26,12 @@ impl Kernel {
             self.next_pid += 1;
             p
         };
-        // `fork_child` copies only the parent's written memory regions and
-        // gives the child a 0 return value in its registers.
-        let child = self.proc(pid).expect("checked above").fork_child(child_pid);
+        // `fork_child` shares the parent's pages copy-on-write and gives
+        // the child a 0 return value in its registers.
+        let child = self
+            .proc_mut(pid)
+            .expect("checked above")
+            .fork_child(child_pid);
         // Shared open files gain a reference per inherited descriptor.
         let shared: Vec<_> = child.fds.iter().map(|(_, e)| e.file).collect();
         for f in shared {

@@ -100,8 +100,8 @@ fn dup_shares_the_file_offset() {
         4
     );
     let mem = &k.proc(pid).unwrap().mem;
-    assert_eq!(mem.read_bytes(buf, 4).unwrap(), b"abcd");
-    assert_eq!(mem.read_bytes(buf + 8, 4).unwrap(), b"efgh");
+    assert_eq!(&*mem.read_bytes(buf, 4).unwrap(), b"abcd");
+    assert_eq!(&*mem.read_bytes(buf + 8, 4).unwrap(), b"efgh");
 }
 
 #[test]
@@ -155,6 +155,48 @@ fn efault_on_wild_pointers() {
         call(&mut k, pid, Sysno::Read, [1, wild, 64, 0, 0, 0]),
         Errno::EFAULT,
     );
+}
+
+#[test]
+fn zero_length_transfers_at_the_end_of_the_space() {
+    let (mut k, pid) = boot_with_proc();
+    let end = ia_vm::DEFAULT_MEM_SIZE as u64;
+    k.write_file(b"/tmp/end", b"xyz").unwrap();
+    let p = stage(&mut k, pid, 0x2000, b"/tmp/end");
+    let fd = ok_val(call(
+        &mut k,
+        pid,
+        Sysno::Open,
+        [p, u64::from(OpenFlags::O_RDWR), 0, 0, 0, 0],
+    ));
+    // A buffer that starts one past the last byte is valid when empty.
+    assert_eq!(
+        ok_val(call(&mut k, pid, Sysno::Write, [fd, end, 0, 0, 0, 0])),
+        0
+    );
+    assert_eq!(
+        ok_val(call(&mut k, pid, Sysno::Read, [fd, end, 0, 0, 0, 0])),
+        0
+    );
+    {
+        let mem = &mut k.proc_mut(pid).unwrap().mem;
+        mem.write_u64(0x4000, end).unwrap();
+        mem.write_u64(0x4008, 0).unwrap();
+    }
+    assert_eq!(
+        ok_val(call(&mut k, pid, Sysno::Writev, [fd, 0x4000, 1, 0, 0, 0])),
+        0
+    );
+    assert_eq!(
+        ok_val(call(&mut k, pid, Sysno::Readv, [fd, 0x4000, 1, 0, 0, 0])),
+        0
+    );
+    // One byte further is out of range even when empty.
+    expect_err(
+        call(&mut k, pid, Sysno::Write, [fd, end + 1, 0, 0, 0, 0]),
+        Errno::EFAULT,
+    );
+    assert_eq!(k.read_file(b"/tmp/end").unwrap(), b"xyz");
 }
 
 #[test]
@@ -754,8 +796,8 @@ fn readv_writev_scatter_gather() {
         7
     );
     let mem = &k.proc(pid).unwrap().mem;
-    assert_eq!(mem.read_bytes(0x5000, 2).unwrap(), b"ab");
-    assert_eq!(mem.read_bytes(0x5100, 5).unwrap(), b"cdefg");
+    assert_eq!(&*mem.read_bytes(0x5000, 2).unwrap(), b"ab");
+    assert_eq!(&*mem.read_bytes(0x5100, 5).unwrap(), b"cdefg");
 }
 
 #[test]
@@ -816,7 +858,7 @@ fn hard_links_visible_through_descriptor_io() {
     let n = ok_val(call(&mut k, pid, Sysno::Read, [fd, 0x3000, 32, 0, 0, 0]));
     assert_eq!(n, 12);
     assert_eq!(
-        k.proc(pid).unwrap().mem.read_bytes(0x3000, 12).unwrap(),
+        &*k.proc(pid).unwrap().mem.read_bytes(0x3000, 12).unwrap(),
         b"shared-bytes"
     );
     // Unlink the original; the alias still works.

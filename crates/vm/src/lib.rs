@@ -20,7 +20,8 @@
 //! through a builder API ([`builder`]) used by the benchmark workloads.
 //!
 //! The machine: sixteen 64-bit registers (`r15` is the stack pointer by
-//! convention), a flat byte-addressed data/stack space, Harvard-style code.
+//! convention), a flat byte-addressed data/stack space (4 KiB copy-on-write
+//! pages underneath, see [`mem`]), Harvard-style code.
 //! The syscall ABI: number in `r7`, arguments in `r0..r5`; on return `r0` =
 //! first result, `r1` = errno (0 on success), `r2` = second result.
 
@@ -46,4 +47,4 @@ pub use machine::{
     BatchCall, FastMode, FastSpec, LaneAnswers, SliceEnd, SliceResult, StepEvent, TrapLane,
     VmState, SYSRET_ERRNO, SYSRET_RV0, SYSRET_RV1, SYS_NR_REG,
 };
-pub use mem::{AddressSpace, DEFAULT_MEM_SIZE};
+pub use mem::{AddressSpace, DEFAULT_MEM_SIZE, PAGE_SIZE};

@@ -1,86 +1,106 @@
-//! The process address space: a flat byte-addressed data/stack region.
+//! The process address space: a paged, copy-on-write data/stack region.
 //!
 //! Code lives outside this space (Harvard style) so that image loading and
 //! `sbrk` stay simple; everything an application reads or writes — and
 //! everything the kernel copies in and out during a system call — goes
 //! through these accessors, which fault with `EFAULT` instead of panicking.
+//!
+//! Programs see one flat range of bytes. Underneath, the space is a table
+//! of [`PAGE_SIZE`] pages, each absent (never written; reads as zero),
+//! privately owned, or shared by refcount with other copies of the space.
+//! [`AddressSpace::share_clone`] shares pages instead of copying bytes, so
+//! `fork`, kernel snapshots, restores and branches cost O(pages) refcount
+//! bumps; the first write to an absent or shared page allocates or copies
+//! that page alone.
+//! None of this is observable: every read returns exactly what a flat
+//! zero-initialised byte array would.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use ia_abi::wire::Wire;
 use ia_abi::Errno;
 
 /// Default address-space size: 1 MiB, comfortably larger than any workload
-/// in the paper needs, small enough that `fork` is cheap to simulate.
+/// in the paper needs. Only pages a process writes are held on the host.
 pub const DEFAULT_MEM_SIZE: usize = 1 << 20;
+
+/// Bytes per page: the unit of sharing and of copy-on-write.
+pub const PAGE_SIZE: usize = 4096;
+
+type PageBytes = [u8; PAGE_SIZE];
+
+/// What every absent page reads as.
+static ZERO_PAGE: PageBytes = [0; PAGE_SIZE];
+
+/// One page-table entry.
+#[derive(Debug, Clone)]
+enum Page {
+    /// Never written since creation or the last `clear`: all zero.
+    Absent,
+    /// Held by this space alone; stores go straight in, with no atomic.
+    Owned(Box<PageBytes>),
+    /// Possibly held by other spaces too; copied on the first store.
+    Shared(Arc<PageBytes>),
+}
 
 /// A process's data/stack address space.
 ///
-/// Writes are tracked with two high-water marks — the top of the dirty
-/// data region and the bottom of the dirty stack region — so `fork` and
-/// `execve` touch only the bytes a process has actually used instead of
-/// the whole space. Reads of never-written memory return zeros either
-/// way, so the marks are invisible to programs.
+/// [`AddressSpace::share_clone`] is the copy that `fork`, snapshots and
+/// branches use: it copies no bytes. `Clone` shares the pages that are
+/// already shared and copies owned ones, so it is cheap only on a space
+/// that came out of `share_clone` and has not been written since, such as
+/// one held in a kernel snapshot.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
-    mem: Vec<u8>,
+    pages: Vec<Page>,
+    /// Size in bytes; the last page may be only partly addressable.
+    size: usize,
     /// Current program break (top of the data/heap region).
     brk: u64,
-    /// Exclusive end of the dirty low (data/heap) region.
-    data_hwm: usize,
-    /// Inclusive start of the dirty high (stack) region.
-    stack_lwm: usize,
 }
 
 impl AddressSpace {
     /// Creates a zeroed address space of `size` bytes with the break at
-    /// `brk0`.
+    /// `brk0`. No page is allocated until it is first written.
     #[must_use]
     pub fn new(size: usize, brk0: u64) -> AddressSpace {
         AddressSpace {
-            mem: vec![0; size],
+            pages: vec![Page::Absent; size.div_ceil(PAGE_SIZE)],
+            size,
             brk: brk0,
-            data_hwm: 0,
-            stack_lwm: size,
-        }
-    }
-
-    /// First byte of the stack octant (the top eighth of the space) — the
-    /// same boundary `sbrk` refuses to cross.
-    fn stack_boundary(&self) -> usize {
-        self.mem.len() - self.mem.len() / 8
-    }
-
-    /// Bytes a copy of this space must actually transfer (dirty regions).
-    #[must_use]
-    pub fn live_bytes(&self) -> usize {
-        let lwm = self.stack_lwm.max(self.data_hwm);
-        self.data_hwm + (self.mem.len() - lwm)
-    }
-
-    /// A copy for `fork`: same size, break and contents, but only the
-    /// dirty data and stack regions are transferred; the rest of the
-    /// child's space is freshly zeroed (which the allocator provides
-    /// without touching pages). Never-written parent bytes are zero by
-    /// construction, so the child is byte-for-byte identical to a full
-    /// clone.
-    #[must_use]
-    pub fn fork_clone(&self) -> AddressSpace {
-        let mut mem = vec![0u8; self.mem.len()];
-        let hwm = self.data_hwm;
-        mem[..hwm].copy_from_slice(&self.mem[..hwm]);
-        let lwm = self.stack_lwm.max(hwm);
-        mem[lwm..].copy_from_slice(&self.mem[lwm..]);
-        AddressSpace {
-            mem,
-            brk: self.brk,
-            data_hwm: self.data_hwm,
-            stack_lwm: self.stack_lwm,
         }
     }
 
     /// Total size in bytes.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.mem.len()
+        self.size
+    }
+
+    /// Host bytes of the pages this space holds (owned or shared), a whole
+    /// page each. A page shared with another space counts in both.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.pages
+            .iter()
+            .filter(|p| !matches!(p, Page::Absent))
+            .count()
+            * PAGE_SIZE
+    }
+
+    /// Returns a copy of this space that shares every page with it by
+    /// refcount. Pages this space owns move behind an `Arc` first (one
+    /// page copy each, only for pages written since the last share); from
+    /// then on both sides copy a page on their first store to it.
+    #[must_use]
+    pub fn share_clone(&mut self) -> AddressSpace {
+        for page in &mut self.pages {
+            if let Page::Owned(bytes) = page {
+                *page = Page::Shared(Arc::new(**bytes));
+            }
+        }
+        self.clone()
     }
 
     /// The current program break.
@@ -95,7 +115,7 @@ impl AddressSpace {
     pub fn sbrk(&mut self, incr: i64) -> Result<u64, Errno> {
         let old = self.brk;
         let new = old.wrapping_add(incr as u64);
-        let ceiling = (self.mem.len() - self.mem.len() / 8) as u64;
+        let ceiling = (self.size - self.size / 8) as u64;
         if incr >= 0 {
             if new > ceiling {
                 return Err(Errno::ENOMEM);
@@ -108,82 +128,170 @@ impl AddressSpace {
         Ok(old)
     }
 
-    /// Zeroes the space and resets the break — what `execve` does. Only
-    /// the dirty regions are touched; everything else is still zero.
+    /// Zeroes the space and resets the break — what `execve` does. Every
+    /// page becomes absent again; shared pages are released, not copied.
     pub fn clear(&mut self, brk0: u64) {
-        let hwm = self.data_hwm;
-        self.mem[..hwm].fill(0);
-        let lwm = self.stack_lwm.max(hwm);
-        self.mem[lwm..].fill(0);
+        self.pages.fill(Page::Absent);
         self.brk = brk0;
-        self.data_hwm = 0;
-        self.stack_lwm = self.mem.len();
     }
 
     fn check(&self, addr: u64, len: usize) -> Result<usize, Errno> {
         let a = usize::try_from(addr).map_err(|_| Errno::EFAULT)?;
         let end = a.checked_add(len).ok_or(Errno::EFAULT)?;
-        if end > self.mem.len() {
+        if end > self.size {
             return Err(Errno::EFAULT);
         }
         Ok(a)
     }
 
-    /// Reads `len` bytes at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Result<&[u8], Errno> {
-        let a = self.check(addr, len)?;
-        Ok(&self.mem[a..a + len])
+    /// The bytes of page `idx`, for reading.
+    fn page(&self, idx: usize) -> &PageBytes {
+        match &self.pages[idx] {
+            Page::Absent => &ZERO_PAGE,
+            Page::Owned(p) => p,
+            Page::Shared(p) => p,
+        }
     }
 
-    /// Writes `data` at `addr`. This is the single choke point every
-    /// mutation goes through, so it is where the dirty marks are kept.
+    /// The bytes of page `idx`, for writing: owned pages directly, others
+    /// through the copy-on-write fault.
+    fn page_mut(&mut self, idx: usize) -> &mut PageBytes {
+        if !matches!(self.pages[idx], Page::Owned(_)) {
+            self.fault(idx);
+        }
+        match &mut self.pages[idx] {
+            Page::Owned(p) => p,
+            _ => unreachable!("fault leaves the page owned"),
+        }
+    }
+
+    /// First store to an absent or shared page: allocate a zero page, or
+    /// copy the shared one into a page of our own.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, idx: usize) {
+        let bytes = match &self.pages[idx] {
+            Page::Shared(p) => **p,
+            _ => [0; PAGE_SIZE],
+        };
+        self.pages[idx] = Page::Owned(Box::new(bytes));
+    }
+
+    /// Copies `out.len()` bytes at `a` (already bounds-checked) into `out`.
+    fn read_into(&self, mut a: usize, out: &mut [u8]) {
+        let mut done = 0;
+        while done < out.len() {
+            let off = a % PAGE_SIZE;
+            let n = (out.len() - done).min(PAGE_SIZE - off);
+            out[done..done + n].copy_from_slice(&self.page(a / PAGE_SIZE)[off..off + n]);
+            done += n;
+            a += n;
+        }
+    }
+
+    /// Reads `len` bytes at `addr`: borrowed when they lie in one page,
+    /// copied when they straddle pages.
+    pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Cow<'_, [u8]>, Errno> {
+        let a = self.check(addr, len)?;
+        if len == 0 {
+            // `a` may equal the size, one past the last page.
+            return Ok(Cow::Borrowed(&[]));
+        }
+        let off = a % PAGE_SIZE;
+        if off + len <= PAGE_SIZE {
+            return Ok(Cow::Borrowed(&self.page(a / PAGE_SIZE)[off..off + len]));
+        }
+        let mut out = vec![0; len];
+        self.read_into(a, &mut out);
+        Ok(Cow::Owned(out))
+    }
+
+    /// Writes `data` at `addr`, page by page.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), Errno> {
-        let a = self.check(addr, data.len())?;
-        let e = a + data.len();
-        self.mem[a..e].copy_from_slice(data);
-        if a < self.stack_boundary() {
-            if e > self.data_hwm {
-                self.data_hwm = e;
-            }
-        } else if a < self.stack_lwm {
-            self.stack_lwm = a;
+        let mut a = self.check(addr, data.len())?;
+        let mut done = 0;
+        while done < data.len() {
+            let off = a % PAGE_SIZE;
+            let n = (data.len() - done).min(PAGE_SIZE - off);
+            self.page_mut(a / PAGE_SIZE)[off..off + n].copy_from_slice(&data[done..done + n]);
+            done += n;
+            a += n;
         }
         Ok(())
     }
 
+    // The four scalar accessors below are the interpreters' loads and
+    // stores. They stay out of line: inlined into the fused dispatch loop,
+    // their page walk degrades the codegen of the whole loop, even for
+    // stretches of code that never touch memory.
+
     /// Reads one byte.
+    #[inline(never)]
     pub fn read_u8(&self, addr: u64) -> Result<u8, Errno> {
-        Ok(self.read_bytes(addr, 1)?[0])
+        let a = self.check(addr, 1)?;
+        Ok(self.page(a / PAGE_SIZE)[a % PAGE_SIZE])
     }
 
     /// Writes one byte.
+    #[inline(never)]
     pub fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), Errno> {
-        self.write_bytes(addr, &[v])
+        let a = self.check(addr, 1)?;
+        self.page_mut(a / PAGE_SIZE)[a % PAGE_SIZE] = v;
+        Ok(())
     }
 
     /// Reads a little-endian u64.
+    #[inline(never)]
     pub fn read_u64(&self, addr: u64) -> Result<u64, Errno> {
-        let b = self.read_bytes(addr, 8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        let a = self.check(addr, 8)?;
+        let off = a % PAGE_SIZE;
+        let mut b = [0; 8];
+        if off <= PAGE_SIZE - 8 {
+            b.copy_from_slice(&self.page(a / PAGE_SIZE)[off..off + 8]);
+        } else {
+            self.read_into(a, &mut b);
+        }
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Writes a little-endian u64.
+    #[inline(never)]
     pub fn write_u64(&mut self, addr: u64, v: u64) -> Result<(), Errno> {
-        self.write_bytes(addr, &v.to_le_bytes())
+        let a = self.check(addr, 8)?;
+        let off = a % PAGE_SIZE;
+        if off <= PAGE_SIZE - 8 {
+            self.page_mut(a / PAGE_SIZE)[off..off + 8].copy_from_slice(&v.to_le_bytes());
+            Ok(())
+        } else {
+            self.write_bytes(addr, &v.to_le_bytes())
+        }
     }
 
     /// Reads a NUL-terminated string of at most `max` bytes (NUL excluded).
     /// `ENAMETOOLONG` if no NUL appears within the bound.
     pub fn read_cstr(&self, addr: u64, max: usize) -> Result<Vec<u8>, Errno> {
         let a = usize::try_from(addr).map_err(|_| Errno::EFAULT)?;
-        if a >= self.mem.len() {
+        if a >= self.size {
             return Err(Errno::EFAULT);
         }
-        let window = &self.mem[a..self.mem.len().min(a + max + 1)];
-        match window.iter().position(|&c| c == 0) {
-            Some(n) => Ok(window[..n].to_vec()),
-            None if window.len() < max + 1 => Err(Errno::EFAULT),
-            None => Err(Errno::ENAMETOOLONG),
+        let end = self.size.min(a.saturating_add(max).saturating_add(1));
+        let mut out = Vec::new();
+        let mut pos = a;
+        while pos < end {
+            let off = pos % PAGE_SIZE;
+            let n = (end - pos).min(PAGE_SIZE - off);
+            let chunk = &self.page(pos / PAGE_SIZE)[off..off + n];
+            if let Some(nul) = chunk.iter().position(|&c| c == 0) {
+                out.extend_from_slice(&chunk[..nul]);
+                return Ok(out);
+            }
+            out.extend_from_slice(chunk);
+            pos += n;
+        }
+        if end - a < max.saturating_add(1) {
+            Err(Errno::EFAULT)
+        } else {
+            Err(Errno::ENAMETOOLONG)
         }
     }
 
@@ -195,7 +303,7 @@ impl AddressSpace {
 
     /// Reads a wire-encoded structure.
     pub fn read_struct<T: Wire>(&self, addr: u64) -> Result<T, Errno> {
-        T::decode(self.read_bytes(addr, T::WIRE_SIZE)?)
+        T::decode(&self.read_bytes(addr, T::WIRE_SIZE)?)
     }
 
     /// Writes a wire-encoded structure.
@@ -268,51 +376,5 @@ mod tests {
         m.clear(2048);
         assert_eq!(m.read_u64(0).unwrap(), 0);
         assert_eq!(m.brk(), 2048);
-    }
-
-    #[test]
-    fn fork_clone_is_byte_identical_but_bounded() {
-        let mut m = AddressSpace::new(1 << 16, 1024);
-        assert_eq!(m.live_bytes(), 0);
-        m.write_u64(100, 0xdead).unwrap();
-        m.write_u64((1 << 16) - 16, 0xbeef).unwrap(); // stack octant
-        let c = m.fork_clone();
-        assert_eq!(c.brk(), m.brk());
-        assert_eq!(c.size(), m.size());
-        for addr in [0u64, 100, 5000, (1 << 16) - 16, (1 << 16) - 8] {
-            assert_eq!(c.read_u64(addr).unwrap(), m.read_u64(addr).unwrap());
-        }
-        // Only the two dirty regions count as live.
-        assert_eq!(m.live_bytes(), 108 + 16);
-        // The clone tracks its own writes from the inherited marks.
-        let mut c = c;
-        c.write_u64(200, 7).unwrap();
-        assert_eq!(c.live_bytes(), 208 + 16);
-    }
-
-    #[test]
-    fn clear_after_writes_leaves_no_residue() {
-        let mut m = AddressSpace::new(1 << 16, 0);
-        m.write_bytes(4000, &[0xff; 64]).unwrap();
-        m.write_u8((1 << 16) - 1, 0xff).unwrap();
-        m.clear(512);
-        for addr in (0..(1 << 16)).step_by(4096) {
-            assert_eq!(m.read_u8(addr as u64).unwrap(), 0);
-        }
-        assert_eq!(m.read_u8((1 << 16) - 1).unwrap(), 0);
-        assert_eq!(m.live_bytes(), 0);
-    }
-
-    #[test]
-    fn straddling_write_is_covered_by_fork() {
-        let size = 1 << 13; // boundary at 7168
-        let mut m = AddressSpace::new(size, 0);
-        let boundary = (size - size / 8) as u64;
-        m.write_bytes(boundary - 4, &[9; 8]).unwrap(); // straddles
-        let c = m.fork_clone();
-        assert_eq!(
-            c.read_bytes(boundary - 4, 8).unwrap(),
-            m.read_bytes(boundary - 4, 8).unwrap()
-        );
     }
 }
