@@ -64,9 +64,12 @@ pub fn tenant_image(seed: u64) -> Image {
     b.build()
 }
 
-/// The standard tenant agent chain: a symbolic time agent under a
-/// batchable full-coverage observer — representative interposition load
-/// (both the chain-walk and the vectored-upcall paths stay exercised).
+/// The standard tenant agent chain: a symbolic time agent on top of a
+/// batchable full-coverage observer — representative interposition load.
+/// `time_symbolic` intercepts every number without batching, so no number
+/// is batchable: every trap enters the chain individually, the observer
+/// sees each through a downcall, and tenants never take the vectored-upcall
+/// path.
 #[must_use]
 pub fn tenant_agents() -> Vec<Box<dyn Agent>> {
     vec![

@@ -57,11 +57,13 @@ pub trait Agent: Send {
         SignalVerdict::Deliver
     }
 
-    /// True when [`Agent::interests`] never changes over the agent's
-    /// lifetime. The router compiles fixed-interest chains into a flat
-    /// per-number dispatch table at install time; an agent whose interests
-    /// can vary must return `false` so every trap re-queries `interests()`
-    /// (and the in-loop fast path stays off for its process).
+    /// The contract that [`Agent::interests`] never changes over the
+    /// agent's lifetime: interests are registered once, when the agent is
+    /// loaded, as with the paper's `task_set_emulation`. The router
+    /// compiles each chain into a flat per-number dispatch table at
+    /// install time and refuses (panics on) an agent that returns `false`.
+    /// The method remains only so forwarding wrappers can pass the answer
+    /// through; no agent should override it.
     fn interests_fixed(&self) -> bool {
         true
     }

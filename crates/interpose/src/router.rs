@@ -8,11 +8,12 @@ use ia_kernel::{
     BatchCall, FastMode, FastSpec, Kernel, KernelSnapshot, Pid, SysOutcome, SyscallRouter,
 };
 
-use crate::agent::{dispatch_chain, dispatch_chain_from, signal_chain, Agent, SysCtx};
+use crate::agent::{dispatch_chain_from, signal_chain, Agent, SysCtx};
 use crate::interest::InterestSet;
 
-/// Flat-table entry meaning "no agent interested: call the kernel".
-const KERNEL_DIRECT: u8 = 0xFF;
+/// Flat-table entry meaning "no agent interested: call the kernel". Wide
+/// enough that every chain shorter than this indexes without a fallback.
+const KERNEL_DIRECT: u16 = u16::MAX;
 
 /// Maximum calls buffered in one vectored upcall before it is flushed.
 pub const BATCH_CAP: usize = 32;
@@ -39,64 +40,67 @@ struct PendingBatch {
 }
 
 /// One process's agent chain plus everything compiled from it at
-/// install/modify time: the interest union, the flat per-number dispatch
-/// table, the batchable-number set, and any pending vectored upcall.
+/// install/modify time: the flat per-number dispatch table, the
+/// batchable-number set, and any pending vectored upcall.
 struct Chain {
     agents: Vec<Box<dyn Agent>>,
-    interest: InterestSet,
     /// Flat dispatch table: trap number → index of the first interested
     /// agent, or [`KERNEL_DIRECT`]. Entry 255 also covers all numbers
-    /// ≥ 256 (they share one interest bit). Only trusted while `fixed`.
-    flat: [u8; 256],
+    /// ≥ 256 (they share one interest bit).
+    flat: [u16; 256],
     /// Numbers where every interested agent accepts vectored upcalls.
     batchable: InterestSet,
-    /// All agents report fixed interests (and the chain is short enough to
-    /// index), so `flat` and `batchable` are trustworthy between mutations.
-    fixed: bool,
     pending: Option<PendingBatch>,
 }
 
 impl Chain {
-    fn new() -> Chain {
-        Chain {
-            agents: Vec::new(),
-            interest: InterestSet::NONE,
+    fn new(agents: Vec<Box<dyn Agent>>) -> Chain {
+        let mut chain = Chain {
+            agents,
             flat: [KERNEL_DIRECT; 256],
             batchable: InterestSet::NONE,
-            fixed: true,
             pending: None,
-        }
+        };
+        chain.recompute();
+        chain
     }
 
     /// Recompiles every cached table from the current agent list. Called on
-    /// each chain mutation (install, removal, fork) — this *is* the flat
-    /// table and vDSO invalidation rule: mutation implies recompilation.
+    /// each chain mutation (install, removal, fork, restore) — this *is*
+    /// the flat table and vDSO invalidation rule: mutation implies
+    /// recompilation. Interests are registered once, at install time (the
+    /// paper's `task_set_emulation`), so an agent reporting dynamic
+    /// interests is refused.
     fn recompute(&mut self) {
-        self.interest = self
-            .agents
-            .iter()
-            .fold(InterestSet::NONE, |acc, a| acc.union(&a.interests()));
-        self.fixed = self.agents.len() < usize::from(KERNEL_DIRECT)
-            && self.agents.iter().all(|a| a.interests_fixed());
+        assert!(
+            self.agents.len() < usize::from(KERNEL_DIRECT),
+            "agent chain too long to index"
+        );
         self.flat = [KERNEL_DIRECT; 256];
-        self.batchable = InterestSet::NONE;
-        if !self.fixed {
-            return;
-        }
+        let mut interest = InterestSet::NONE;
+        let mut unbatched = InterestSet::NONE;
         for (i, agent) in self.agents.iter().enumerate().rev() {
-            for nr in agent.interests().iter() {
-                self.flat[nr as usize] = i as u8;
+            assert!(
+                agent.interests_fixed(),
+                "agent `{}` reports dynamic interests; chains compile interests once",
+                agent.name()
+            );
+            let wants = agent.interests();
+            for nr in wants.iter() {
+                self.flat[nr as usize] = i as u16;
             }
+            interest = interest.union(&wants);
+            unbatched = unbatched.union(&wants.minus(&agent.batch_interests()));
         }
-        for nr in self.interest.iter() {
-            let all_batch = self
-                .agents
-                .iter()
-                .all(|a| !a.interests().contains(nr) || a.batch_interests().contains(nr));
-            if all_batch {
-                self.batchable.add(nr);
-            }
-        }
+        // A number is vectored only when every agent interested in it
+        // accepts vectored upcalls for it.
+        self.batchable = interest.minus(&unbatched);
+    }
+
+    /// Index of the first agent interested in `nr`, or a value past the
+    /// end of the chain when the kernel takes the call directly.
+    fn first(&self, nr: u32) -> usize {
+        usize::from(self.flat[(nr as usize).min(255)])
     }
 
     /// Delivers the pending vectored upcall, if any: charges the single
@@ -181,7 +185,10 @@ impl InterposedRouter {
     /// Pushes an agent on top of `pid`'s chain (the new agent sees traps
     /// first). This is the simulated `task_set_emulation()` registration.
     pub fn push_agent(&mut self, pid: Pid, agent: Box<dyn Agent>) {
-        let chain = self.chains.entry(pid).or_insert_with(Chain::new);
+        let chain = self
+            .chains
+            .entry(pid)
+            .or_insert_with(|| Chain::new(Vec::new()));
         chain.agents.insert(0, agent);
         chain.recompute();
     }
@@ -254,10 +261,7 @@ impl InterposedRouter {
             let mut ctx = SysCtx::new(k, child, below, 0);
             cur[i].init_child(&mut ctx);
         }
-        let mut chain = Chain::new();
-        chain.agents = agents;
-        chain.recompute();
-        self.chains.insert(child, chain);
+        self.chains.insert(child, Chain::new(agents));
         self.stats.chains_forked += 1;
     }
 }
@@ -363,10 +367,8 @@ impl InterposedRouter {
     pub fn restore(&mut self, snap: &RouterSnapshot) {
         self.chains.clear();
         for (pid, agents) in &snap.chains {
-            let mut chain = Chain::new();
-            chain.agents = agents.iter().map(|a| a.clone_box()).collect();
-            chain.recompute();
-            self.chains.insert(*pid, chain);
+            let agents = agents.iter().map(|a| a.clone_box()).collect();
+            self.chains.insert(*pid, Chain::new(agents));
         }
         self.stats = snap.stats;
     }
@@ -416,15 +418,8 @@ impl SyscallRouter for InterposedRouter {
             }
             Some(chain) => {
                 // Which agent (if any) sees this trap: one indexed load
-                // from the flat table when it is trustworthy, the legacy
-                // interest-union test plus chain walk otherwise.
-                let first = if k.fast_path && chain.fixed {
-                    usize::from(chain.flat[(nr as usize).min(255)])
-                } else if chain.interest.contains(nr) {
-                    0
-                } else {
-                    usize::from(KERNEL_DIRECT)
-                };
+                // from the flat table compiled at install time.
+                let first = chain.first(nr);
                 if first >= chain.agents.len() {
                     // Pay-per-use: no agent cost at all.
                     self.stats.passthrough += 1;
@@ -443,11 +438,8 @@ impl SyscallRouter for InterposedRouter {
                     if let Ok(p) = k.proc_mut(pid) {
                         p.usage.sys_ns += cost;
                     }
-                    let out = if k.fast_path && chain.fixed {
-                        dispatch_chain_from(k, pid, &mut chain.agents, first, nr, args, restarts)
-                    } else {
-                        dispatch_chain(k, pid, &mut chain.agents, nr, args, restarts)
-                    };
+                    let out =
+                        dispatch_chain_from(k, pid, &mut chain.agents, first, nr, args, restarts);
                     k.obs.layer_exit(
                         "interpose",
                         pid,
@@ -518,18 +510,12 @@ impl SyscallRouter for InterposedRouter {
     }
 
     fn fast_spec(&mut self, _k: &Kernel, pid: Pid) -> FastSpec {
-        let Some(chain) = self.chains.get(&pid) else {
+        let Some(chain) = self.chains.get(&pid).filter(|c| !c.agents.is_empty()) else {
             return FastSpec::DIRECT;
         };
-        if chain.agents.is_empty() {
-            return FastSpec::DIRECT;
-        }
-        if !chain.fixed {
-            return FastSpec::OFF;
-        }
         let mode = |nr: Sysno| {
             let nr = nr.number();
-            if !chain.interest.contains(nr) {
+            if chain.first(nr) >= chain.agents.len() {
                 FastMode::Direct
             } else if chain.batchable.contains(nr) {
                 FastMode::Collect

@@ -263,9 +263,11 @@ pub struct Kernel {
     /// Flight recorder + per-layer metrics (ia-obs). Disabled by default;
     /// every hook is observably inert (never advances the virtual clock).
     pub obs: ia_obs::Obs,
-    /// Enables the trap fast path (flat dispatch tables and the fused
-    /// burst's vDSO lane). On by default; the conform oracle turns it off
-    /// to prove the fast and slow paths are bit-identical.
+    /// Enables the trap fast path: the fused burst's vDSO-style trap lane
+    /// (DESIGN §11). The scheduler alone reads it; routers dispatch through
+    /// their install-time tables either way. On by default; the conform
+    /// oracle turns it off to prove the lane is bit-identical to ordinary
+    /// dispatch. Host policy, so [`Kernel::restore`] keeps it.
     pub fast_path: bool,
     /// Fast-path hit/miss counters (host-side; see [`FastPathStats`]).
     pub fast_stats: FastPathStats,
@@ -350,8 +352,9 @@ impl KernelBuilder {
         self
     }
 
-    /// The trap fast path — flat dispatch tables and the fused burst's
-    /// vDSO lane (default on; the conform oracle pins it both ways).
+    /// The trap fast path — the fused burst's vDSO-style trap lane, read
+    /// only by the scheduler (default on; the conform oracle pins it both
+    /// ways).
     pub fn fast_path(mut self, on: bool) -> KernelBuilder {
         self.fast_path = on;
         self
@@ -634,7 +637,6 @@ impl Kernel {
             usage: Usage::default(),
             itimer: None,
             name: name.to_vec(),
-            slice_left: 0,
             priority: 0,
             select_deadline: None,
         };

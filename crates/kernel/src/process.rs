@@ -190,8 +190,6 @@ pub struct Process {
     pub itimer: Option<(u64, u64)>,
     /// Command name, for diagnostics and `trace` output.
     pub name: Vec<u8>,
-    /// Instructions left in the current scheduling slice.
-    pub slice_left: u32,
     /// Scheduling priority (`nice`); bookkeeping only.
     pub priority: i32,
     /// Deadline stashed by a blocked `select`, in virtual ns.
@@ -259,7 +257,6 @@ impl Process {
             usage: Usage::default(),
             itimer: None,
             name: self.name.clone(),
-            slice_left: 0,
             priority: self.priority,
             select_deadline: None,
         }

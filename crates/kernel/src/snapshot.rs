@@ -73,8 +73,8 @@ pub struct ClientView {
 /// * the flight recorder (`Kernel::obs`) — it is an observer of the world,
 ///   not part of it; a restore rewinds what happened, not the record that
 ///   it happened (which is exactly what time-travel replay needs);
-/// * the exec gate and machine profile — host policy, constant across a
-///   run, preserved across [`Kernel::restore`];
+/// * the exec gate, machine profile, execution engine and fast-path knob —
+///   host policy, preserved across [`Kernel::restore`];
 /// * the snapshot-id counter — ids must stay unique across restores.
 #[derive(Debug, Clone)]
 pub struct KernelSnapshot {
@@ -97,7 +97,6 @@ pub struct KernelSnapshot {
     perf: PerfCounters,
     total_syscalls: u64,
     total_insns: u64,
-    fast_path: bool,
     fast_stats: FastPathStats,
 }
 
@@ -131,16 +130,15 @@ impl Kernel {
             perf: self.perf,
             total_syscalls: self.total_syscalls,
             total_insns: self.total_insns,
-            fast_path: self.fast_path,
             fast_stats: self.fast_stats.clone(),
         }
     }
 
     /// Rewinds the world to `snap`. The flight recorder, exec gate,
-    /// machine profile and snapshot-id counter persist (they are not world
-    /// state); everything else — filesystem, processes, descriptors,
-    /// sockets, console, queues, timers, clock, counters — is restored
-    /// bit-identically.
+    /// machine profile, execution engine, fast-path knob and snapshot-id
+    /// counter persist (they are not world state); everything else —
+    /// filesystem, processes, descriptors, sockets, console, queues,
+    /// timers, clock, counters — is restored bit-identically.
     ///
     /// Callers holding router state (agent chains, pending upcall batches,
     /// compiled dispatch tables) must invalidate it too; see
@@ -163,7 +161,6 @@ impl Kernel {
         self.perf = snap.perf;
         self.total_syscalls = snap.total_syscalls;
         self.total_insns = snap.total_insns;
-        self.fast_path = snap.fast_path;
         self.fast_stats = snap.fast_stats.clone();
     }
 
@@ -456,6 +453,21 @@ mod tests {
         k.restore(&s1);
         let s2 = k.snapshot();
         assert_ne!(s1.id, s2.id, "restore must not rewind the id counter");
+    }
+
+    #[test]
+    fn restore_keeps_host_policy_knobs() {
+        let mut k = KernelBuilder::new().build();
+        let snap = k.snapshot();
+        k.fast_path = false;
+        k.engine = crate::kernel::Engine::Plain;
+        k.restore(&snap);
+        assert!(!k.fast_path, "restore rewound the fast-path knob");
+        assert_eq!(
+            k.engine,
+            crate::kernel::Engine::Plain,
+            "restore rewound the engine"
+        );
     }
 
     #[test]
