@@ -11,9 +11,18 @@
 //!
 //! Where the paper wrote ~1350 statements of per-call derived methods,
 //! Rust's pattern matching concentrates the same per-call knowledge in
-//! [`format_call`]: still proportional to the size of the interface,
+//! [`write_call`]: still proportional to the size of the interface,
 //! exactly as §3.3.2 observes, just denser.
+//!
+//! Host-side, the call text is written once per trap into a buffer the
+//! agent keeps, and each line is assembled, newline included, in a second
+//! kept buffer before it is staged in scratch memory and written; once the
+//! buffers are warm, only reading a path argument and naming `open` flags
+//! allocate. Reusing host buffers does not buffer the output: every line
+//! is still its own `write()` downcall, so nothing is held back across
+//! system calls.
 
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
 use ia_abi::{Errno, OpenFlags, RawArgs, Signal, Sysno};
@@ -47,6 +56,10 @@ pub struct TraceAgent {
     log_fd: Option<u64>,
     scratch: Scratch,
     handle: TraceHandle,
+    /// The current trap's call text, written once per trap.
+    call: String,
+    /// The line being emitted, with its trailing newline.
+    line: String,
 }
 
 impl TraceAgent {
@@ -70,20 +83,21 @@ impl TraceAgent {
                 log_fd: None,
                 scratch: Scratch::new(),
                 handle: handle.clone(),
+                call: String::new(),
+                line: String::new(),
             },
             handle,
         )
     }
 
-    /// Emits one line: an unbuffered `write()` downcall plus the host copy.
-    fn emit(&mut self, ctx: &mut SysCtx<'_>, line: &str) {
-        self.handle.buf.lock().unwrap().push_str(line);
-        self.handle.buf.lock().unwrap().push('\n');
+    /// Emits `self.line`: the host copy plus one unbuffered `write()`
+    /// downcall.
+    fn emit(&self, ctx: &mut SysCtx<'_>) {
+        self.handle.buf.lock().unwrap().push_str(&self.line);
         if let Some(fd) = self.log_fd {
             let mut sym = SymCtx::new(ctx);
-            let mut bytes = line.as_bytes().to_vec();
-            bytes.push(b'\n');
-            if let Ok(addr) = self.scratch.write(&mut sym, &bytes) {
+            let bytes = self.line.as_bytes();
+            if let Ok(addr) = self.scratch.write(&mut sym, bytes) {
                 let _ = sym.down_args(Sysno::Write, [fd, addr, bytes.len() as u64, 0, 0, 0]);
             }
         }
@@ -128,21 +142,26 @@ impl Agent for TraceAgent {
 
     fn syscall(&mut self, ctx: &mut SysCtx<'_>, nr: u32, args: RawArgs) -> SysOutcome {
         self.scratch.reset();
-        let call_text = {
-            let mut sym = SymCtx::new(ctx);
-            format_call(&mut sym, nr, &args)
-        };
+        self.call.clear();
+        let _ = write_call(&mut self.call, &mut SymCtx::new(ctx), nr, &args);
         // Print the entry line only on first delivery, not on restarts of
         // a blocked call.
         if ctx.restarts == 0 {
-            let line = format!("{call_text} ...");
-            self.emit(ctx, &line);
+            self.line.clear();
+            self.line.push_str(&self.call);
+            self.line.push_str(" ...\n");
+            self.emit(ctx);
         }
         let out = ctx.down(nr, args);
         match out {
             SysOutcome::Done(res) => {
-                let line = format!("... {call_text} -> {}", format_result(res));
-                self.emit(ctx, &line);
+                self.line.clear();
+                self.line.push_str("... ");
+                self.line.push_str(&self.call);
+                self.line.push_str(" -> ");
+                let _ = write_result(&mut self.line, res);
+                self.line.push('\n');
+                self.emit(ctx);
             }
             SysOutcome::NoReturn => {
                 // exit / exec / sigreturn: no result line, as in the paper.
@@ -156,8 +175,9 @@ impl Agent for TraceAgent {
 
     fn signal_incoming(&mut self, ctx: &mut SysCtx<'_>, sig: Signal) -> SignalVerdict {
         self.scratch.reset();
-        let line = format!("--- signal {sig} ---");
-        self.emit(ctx, &line);
+        self.line.clear();
+        let _ = writeln!(self.line, "--- signal {sig} ---");
+        self.emit(ctx);
         SignalVerdict::Deliver
     }
 
@@ -167,179 +187,243 @@ impl Agent for TraceAgent {
             log_fd: self.log_fd,
             scratch: self.scratch.deep_clone(),
             handle: self.handle.clone(),
+            call: String::new(),
+            line: String::new(),
         })
     }
 }
 
-/// Reads a pathname argument for display, with a fallback for bad
-/// pointers.
-fn path_arg(ctx: &mut SymCtx<'_, '_>, addr: u64) -> String {
-    match ctx.read_path(addr) {
-        Ok(p) => format!("\"{}\"", String::from_utf8_lossy(&p)),
-        Err(_) => format!("{addr:#x}"),
+/// A pathname argument for display: the quoted path, or the raw pointer
+/// when it cannot be read.
+enum PathArg {
+    Path(Vec<u8>),
+    Bad(u64),
+}
+
+impl fmt::Display for PathArg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PathArg::Path(p) => write!(f, "\"{}\"", String::from_utf8_lossy(p)),
+            PathArg::Bad(addr) => write!(f, "{addr:#x}"),
+        }
     }
 }
 
-/// Formats one system call with per-call argument knowledge — the trace
-/// agent's interface-proportional core.
+/// Reads a pathname argument for display.
+fn path_arg(ctx: &mut SymCtx<'_, '_>, addr: u64) -> PathArg {
+    ctx.read_path(addr)
+        .map_or(PathArg::Bad(addr), PathArg::Path)
+}
+
+/// A signal-number argument for display: its name, or the raw number.
+struct SigArg(u64);
+
+impl fmt::Display for SigArg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match Signal::from_u32(self.0 as u32) {
+            Some(s) => write!(f, "{s}"),
+            None => write!(f, "{}", self.0),
+        }
+    }
+}
+
+/// Formats one system call as a fresh string; see [`write_call`].
 pub fn format_call(ctx: &mut SymCtx<'_, '_>, nr: u32, args: &RawArgs) -> String {
+    let mut s = String::new();
+    write_call(&mut s, ctx, nr, args).expect("formatting into a String cannot fail");
+    s
+}
+
+/// Writes one system call with per-call argument knowledge to `out` — the
+/// trace agent's interface-proportional core.
+pub fn write_call(
+    out: &mut impl fmt::Write,
+    ctx: &mut SymCtx<'_, '_>,
+    nr: u32,
+    args: &RawArgs,
+) -> fmt::Result {
     let Some(sys) = Sysno::from_u32(nr) else {
-        return format!(
+        return write!(
+            out,
             "syscall({nr}, {:#x}, {:#x}, {:#x})",
             args[0], args[1], args[2]
         );
     };
     use Sysno::*;
     match sys {
-        Open => format!(
+        Open => write!(
+            out,
             "open({}, {}, {:#o})",
             path_arg(ctx, args[0]),
             OpenFlags::new(args[1] as u32).describe(),
             args[2]
         ),
-        Read => format!("read({}, {:#x}, {:#x})", args[0], args[1], args[2]),
-        Write => format!("write({}, {:#x}, {:#x})", args[0], args[1], args[2]),
-        Close => format!("close({})", args[0]),
-        Exit => format!("exit({})", args[0]),
-        Fork => "fork()".to_string(),
-        Vfork => "vfork()".to_string(),
-        Wait4 => format!(
+        Read => write!(out, "read({}, {:#x}, {:#x})", args[0], args[1], args[2]),
+        Write => write!(out, "write({}, {:#x}, {:#x})", args[0], args[1], args[2]),
+        Close => write!(out, "close({})", args[0]),
+        Exit => write!(out, "exit({})", args[0]),
+        Fork => out.write_str("fork()"),
+        Vfork => out.write_str("vfork()"),
+        Wait4 => write!(
+            out,
             "wait4({}, {:#x}, {}, {:#x})",
             args[0] as i64, args[1], args[2], args[3]
         ),
-        Link => format!(
+        Link => write!(
+            out,
             "link({}, {})",
             path_arg(ctx, args[0]),
             path_arg(ctx, args[1])
         ),
-        Unlink => format!("unlink({})", path_arg(ctx, args[0])),
-        Chdir => format!("chdir({})", path_arg(ctx, args[0])),
-        Fchdir => format!("fchdir({})", args[0]),
-        Mknod => format!(
+        Unlink => write!(out, "unlink({})", path_arg(ctx, args[0])),
+        Chdir => write!(out, "chdir({})", path_arg(ctx, args[0])),
+        Fchdir => write!(out, "fchdir({})", args[0]),
+        Mknod => write!(
+            out,
             "mknod({}, {:#o}, {})",
             path_arg(ctx, args[0]),
             args[1],
             args[2]
         ),
-        Chmod => format!("chmod({}, {:#o})", path_arg(ctx, args[0]), args[1]),
-        Chown => format!(
+        Chmod => write!(out, "chmod({}, {:#o})", path_arg(ctx, args[0]), args[1]),
+        Chown => write!(
+            out,
             "chown({}, {}, {})",
             path_arg(ctx, args[0]),
             args[1] as i64,
             args[2] as i64
         ),
-        Sbrk => format!("sbrk({})", args[0] as i64),
-        Lseek => format!("lseek({}, {}, {})", args[0], args[1] as i64, args[2]),
-        Getpid => "getpid()".to_string(),
-        Getppid => "getppid()".to_string(),
-        Getuid => "getuid()".to_string(),
-        Geteuid => "geteuid()".to_string(),
-        Getgid => "getgid()".to_string(),
-        Getegid => "getegid()".to_string(),
-        Setuid => format!("setuid({})", args[0]),
-        Setgid => format!("setgid({})", args[0]),
-        Setreuid => format!("setreuid({}, {})", args[0] as i64, args[1] as i64),
-        Setregid => format!("setregid({}, {})", args[0] as i64, args[1] as i64),
-        Access => format!("access({}, {})", path_arg(ctx, args[0]), args[1]),
-        Sync => "sync()".to_string(),
-        Kill => format!(
-            "kill({}, {})",
-            args[0] as i64,
-            Signal::from_u32(args[1] as u32).map_or_else(|| args[1].to_string(), |s| s.to_string())
-        ),
-        Stat => format!("stat({}, {:#x})", path_arg(ctx, args[0]), args[1]),
-        Lstat => format!("lstat({}, {:#x})", path_arg(ctx, args[0]), args[1]),
-        Fstat => format!("fstat({}, {:#x})", args[0], args[1]),
-        Dup => format!("dup({})", args[0]),
-        Dup2 => format!("dup2({}, {})", args[0], args[1]),
-        Pipe => "pipe()".to_string(),
-        Sigaction => format!(
+        Sbrk => write!(out, "sbrk({})", args[0] as i64),
+        Lseek => write!(out, "lseek({}, {}, {})", args[0], args[1] as i64, args[2]),
+        Getpid => out.write_str("getpid()"),
+        Getppid => out.write_str("getppid()"),
+        Getuid => out.write_str("getuid()"),
+        Geteuid => out.write_str("geteuid()"),
+        Getgid => out.write_str("getgid()"),
+        Getegid => out.write_str("getegid()"),
+        Setuid => write!(out, "setuid({})", args[0]),
+        Setgid => write!(out, "setgid({})", args[0]),
+        Setreuid => write!(out, "setreuid({}, {})", args[0] as i64, args[1] as i64),
+        Setregid => write!(out, "setregid({}, {})", args[0] as i64, args[1] as i64),
+        Access => write!(out, "access({}, {})", path_arg(ctx, args[0]), args[1]),
+        Sync => out.write_str("sync()"),
+        Kill => write!(out, "kill({}, {})", args[0] as i64, SigArg(args[1])),
+        Stat => write!(out, "stat({}, {:#x})", path_arg(ctx, args[0]), args[1]),
+        Lstat => write!(out, "lstat({}, {:#x})", path_arg(ctx, args[0]), args[1]),
+        Fstat => write!(out, "fstat({}, {:#x})", args[0], args[1]),
+        Dup => write!(out, "dup({})", args[0]),
+        Dup2 => write!(out, "dup2({}, {})", args[0], args[1]),
+        Pipe => out.write_str("pipe()"),
+        Sigaction => write!(
+            out,
             "sigaction({}, {:#x}, {:#x})",
-            Signal::from_u32(args[0] as u32).map_or_else(|| args[0].to_string(), |s| s.to_string()),
+            SigArg(args[0]),
             args[1],
             args[2]
         ),
-        Sigprocmask => format!("sigprocmask({}, {:#x})", args[0], args[1]),
-        Sigpending => "sigpending()".to_string(),
-        Sigsuspend => format!("sigsuspend({:#x})", args[0]),
-        Sigreturn => format!("sigreturn({:#x})", args[0]),
-        Ioctl => format!("ioctl({}, {:#x}, {:#x})", args[0], args[1], args[2]),
-        Symlink => format!(
+        Sigprocmask => write!(out, "sigprocmask({}, {:#x})", args[0], args[1]),
+        Sigpending => out.write_str("sigpending()"),
+        Sigsuspend => write!(out, "sigsuspend({:#x})", args[0]),
+        Sigreturn => write!(out, "sigreturn({:#x})", args[0]),
+        Ioctl => write!(out, "ioctl({}, {:#x}, {:#x})", args[0], args[1], args[2]),
+        Symlink => write!(
+            out,
             "symlink({}, {})",
             path_arg(ctx, args[0]),
             path_arg(ctx, args[1])
         ),
-        Readlink => format!(
+        Readlink => write!(
+            out,
             "readlink({}, {:#x}, {})",
             path_arg(ctx, args[0]),
             args[1],
             args[2]
         ),
-        Execve => format!(
+        Execve => write!(
+            out,
             "execve({}, {:#x}, {:#x})",
             path_arg(ctx, args[0]),
             args[1],
             args[2]
         ),
-        Umask => format!("umask({:#o})", args[0]),
-        Chroot => format!("chroot({})", path_arg(ctx, args[0])),
-        Getpgrp => "getpgrp()".to_string(),
-        Setpgid => format!("setpgid({}, {})", args[0], args[1]),
-        Setsid => "setsid()".to_string(),
-        Setitimer => format!("setitimer({}, {:#x}, {:#x})", args[0], args[1], args[2]),
-        Getitimer => format!("getitimer({}, {:#x})", args[0], args[1]),
-        Getdtablesize => "getdtablesize()".to_string(),
-        Fcntl => format!("fcntl({}, {}, {:#x})", args[0], args[1], args[2]),
-        Select => format!(
+        Umask => write!(out, "umask({:#o})", args[0]),
+        Chroot => write!(out, "chroot({})", path_arg(ctx, args[0])),
+        Getpgrp => out.write_str("getpgrp()"),
+        Setpgid => write!(out, "setpgid({}, {})", args[0], args[1]),
+        Setsid => out.write_str("setsid()"),
+        Setitimer => write!(
+            out,
+            "setitimer({}, {:#x}, {:#x})",
+            args[0], args[1], args[2]
+        ),
+        Getitimer => write!(out, "getitimer({}, {:#x})", args[0], args[1]),
+        Getdtablesize => out.write_str("getdtablesize()"),
+        Fcntl => write!(out, "fcntl({}, {}, {:#x})", args[0], args[1], args[2]),
+        Select => write!(
+            out,
             "select({}, {:#x}, {:#x}, {:#x}, {:#x})",
             args[0], args[1], args[2], args[3], args[4]
         ),
-        Fsync => format!("fsync({})", args[0]),
-        Setpriority => format!("setpriority({}, {}, {})", args[0], args[1], args[2] as i64),
-        Getpriority => format!("getpriority({}, {})", args[0], args[1]),
-        Socket => format!("socket({}, {}, {})", args[0], args[1], args[2]),
-        Socketpair => format!("socketpair({}, {}, {})", args[0], args[1], args[2]),
-        Bind => format!("bind({}, {})", args[0], path_arg(ctx, args[1])),
-        Connect => format!("connect({}, {})", args[0], path_arg(ctx, args[1])),
-        Listen => format!("listen({}, {})", args[0], args[1]),
-        Accept => format!("accept({}, {:#x}, {:#x})", args[0], args[1], args[2]),
-        Gettimeofday => format!("gettimeofday({:#x}, {:#x})", args[0], args[1]),
-        Settimeofday => format!("settimeofday({:#x}, {:#x})", args[0], args[1]),
-        Adjtime => format!("adjtime({:#x}, {:#x})", args[0], args[1]),
-        Getrusage => format!("getrusage({}, {:#x})", args[0], args[1]),
-        Readv => format!("readv({}, {:#x}, {})", args[0], args[1], args[2]),
-        Writev => format!("writev({}, {:#x}, {})", args[0], args[1], args[2]),
-        Fchown => format!(
+        Fsync => write!(out, "fsync({})", args[0]),
+        Setpriority => write!(
+            out,
+            "setpriority({}, {}, {})",
+            args[0], args[1], args[2] as i64
+        ),
+        Getpriority => write!(out, "getpriority({}, {})", args[0], args[1]),
+        Socket => write!(out, "socket({}, {}, {})", args[0], args[1], args[2]),
+        Socketpair => write!(out, "socketpair({}, {}, {})", args[0], args[1], args[2]),
+        Bind => write!(out, "bind({}, {})", args[0], path_arg(ctx, args[1])),
+        Connect => write!(out, "connect({}, {})", args[0], path_arg(ctx, args[1])),
+        Listen => write!(out, "listen({}, {})", args[0], args[1]),
+        Accept => write!(out, "accept({}, {:#x}, {:#x})", args[0], args[1], args[2]),
+        Gettimeofday => write!(out, "gettimeofday({:#x}, {:#x})", args[0], args[1]),
+        Settimeofday => write!(out, "settimeofday({:#x}, {:#x})", args[0], args[1]),
+        Adjtime => write!(out, "adjtime({:#x}, {:#x})", args[0], args[1]),
+        Getrusage => write!(out, "getrusage({}, {:#x})", args[0], args[1]),
+        Readv => write!(out, "readv({}, {:#x}, {})", args[0], args[1], args[2]),
+        Writev => write!(out, "writev({}, {:#x}, {})", args[0], args[1], args[2]),
+        Fchown => write!(
+            out,
             "fchown({}, {}, {})",
             args[0], args[1] as i64, args[2] as i64
         ),
-        Fchmod => format!("fchmod({}, {:#o})", args[0], args[1]),
-        Rename => format!(
+        Fchmod => write!(out, "fchmod({}, {:#o})", args[0], args[1]),
+        Rename => write!(
+            out,
             "rename({}, {})",
             path_arg(ctx, args[0]),
             path_arg(ctx, args[1])
         ),
-        Truncate => format!("truncate({}, {})", path_arg(ctx, args[0]), args[1]),
-        Ftruncate => format!("ftruncate({}, {})", args[0], args[1]),
-        Flock => format!("flock({}, {})", args[0], args[1]),
-        Mkfifo => format!("mkfifo({}, {:#o})", path_arg(ctx, args[0]), args[1]),
-        Mkdir => format!("mkdir({}, {:#o})", path_arg(ctx, args[0]), args[1]),
-        Rmdir => format!("rmdir({})", path_arg(ctx, args[0])),
-        Utimes => format!("utimes({}, {:#x})", path_arg(ctx, args[0]), args[1]),
-        Getdirentries => format!(
+        Truncate => write!(out, "truncate({}, {})", path_arg(ctx, args[0]), args[1]),
+        Ftruncate => write!(out, "ftruncate({}, {})", args[0], args[1]),
+        Flock => write!(out, "flock({}, {})", args[0], args[1]),
+        Mkfifo => write!(out, "mkfifo({}, {:#o})", path_arg(ctx, args[0]), args[1]),
+        Mkdir => write!(out, "mkdir({}, {:#o})", path_arg(ctx, args[0]), args[1]),
+        Rmdir => write!(out, "rmdir({})", path_arg(ctx, args[0])),
+        Utimes => write!(out, "utimes({}, {:#x})", path_arg(ctx, args[0]), args[1]),
+        Getdirentries => write!(
+            out,
             "getdirentries({}, {:#x}, {}, {:#x})",
             args[0], args[1], args[2], args[3]
         ),
     }
 }
 
-/// Formats a completed result: value, or `-1 ERRNO`.
+/// Formats a completed result as a fresh string; see [`write_result`].
 #[must_use]
 pub fn format_result(res: Result<[u64; 2], Errno>) -> String {
+    let mut s = String::new();
+    write_result(&mut s, res).expect("formatting into a String cannot fail");
+    s
+}
+
+/// Writes a completed result to `out`: value, or `-1 ERRNO`.
+pub fn write_result(out: &mut impl fmt::Write, res: Result<[u64; 2], Errno>) -> fmt::Result {
     match res {
-        Ok([a, 0]) => format!("{a}"),
-        Ok([a, b]) => format!("({a}, {b})"),
-        Err(e) => format!("-1 {}", e.name()),
+        Ok([a, 0]) => write!(out, "{a}"),
+        Ok([a, b]) => write!(out, "({a}, {b})"),
+        Err(e) => write!(out, "-1 {}", e.name()),
     }
 }
 

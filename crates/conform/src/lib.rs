@@ -9,10 +9,11 @@
 //!    sockets, chdir/permissions) whose output always terminates, even
 //!    under injected errors.
 //! 2. [`oracle`] — a differential executor running each program under
-//!    {bare, pass-through, batched, stacked} agents × five scheduler
-//!    configurations (the sliced scheduler over {fused, plain} engines ×
-//!    {fast path on, off}, plus the legacy scheduler, which neither knob
-//!    reaches) and asserting the observables agree bit for bit.
+//!    {bare, pass-through, batched, stacked} agents × four scheduler
+//!    configurations (the sliced scheduler on the fused engine with the
+//!    fast path on and off, the sliced scheduler on the plain engine,
+//!    where the knob is inert, plus the legacy scheduler, which neither
+//!    knob reaches) and asserting the observables agree bit for bit.
 //! 3. [`fault`] — systematic error injection at each interception point,
 //!    asserting the kernel stays consistent (no leaked descriptors or
 //!    pipes, wait converges, scheduler queues sane).

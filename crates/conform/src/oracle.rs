@@ -243,18 +243,20 @@ fn completed(label: &str, o: &Observation) -> Result<(), String> {
     Ok(())
 }
 
-/// The full oracle matrix for one program: four agent stacks × five
-/// scheduler configurations — the sliced scheduler over {fused, plain}
-/// engines × {fast path on, off}, and the legacy per-instruction
-/// scheduler. Per-stack, every configuration must agree on the *complete*
-/// observable state (the trap lane, both schedulers, and both execution
-/// engines are bit-identical by design); across stacks, the client view
-/// must agree. Every run must terminate and leave the kernel leak-free.
+/// The full oracle matrix for one program: four agent stacks × four
+/// scheduler configurations — the sliced scheduler on the fused engine
+/// with the fast path on and off, the sliced scheduler on the plain
+/// engine, and the legacy per-instruction scheduler. Per-stack, every
+/// configuration must agree on the *complete* observable state (the trap
+/// lane, both schedulers, and both execution engines are bit-identical by
+/// design); across stacks, the client view must agree. Every run must
+/// terminate and leave the kernel leak-free.
 ///
-/// The legacy scheduler runs once: it reads neither the engine nor the
-/// fast-path knob, and the router dispatches through the same compiled
-/// tables whatever the knob says, so further legacy cells would run
-/// identical code.
+/// The plain engine and the legacy scheduler run once each. The trap lane
+/// lives inside the fused burst, so the fast-path knob is inert on the
+/// plain engine (the kernel test `fast_path_is_inert_on_the_plain_engine`
+/// checks this); the legacy scheduler reads neither the engine nor the
+/// knob. Further cells would run identical code.
 pub fn check_program(program: &Program) -> Result<(), String> {
     let mut baseline: Option<(&'static str, Observation)> = None;
     for (label, stack) in [
@@ -267,7 +269,6 @@ pub fn check_program(program: &Program) -> Result<(), String> {
         for (cfg, sched, fast, engine) in [
             ("sliced+fast+fused", SchedKind::Sliced, true, Engine::Fused),
             ("sliced+fused", SchedKind::Sliced, false, Engine::Fused),
-            ("sliced+fast", SchedKind::Sliced, true, Engine::Plain),
             ("sliced", SchedKind::Sliced, false, Engine::Plain),
             ("legacy", SchedKind::Legacy, false, Engine::Plain),
         ] {

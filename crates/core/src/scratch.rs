@@ -61,35 +61,39 @@ impl Scratch {
         self.inner.lock().unwrap().used = 0;
     }
 
-    fn ensure(&self, ctx: &mut SymCtx<'_, '_>) -> Result<u64, Errno> {
-        if let Some(b) = self.inner.lock().unwrap().base {
-            return Ok(b);
-        }
-        // sbrk(SCRATCH_SIZE) in the client, via the chain below us — an
-        // agent allocating memory is itself just a client of the interface.
+    /// Allocates the region: `sbrk(SCRATCH_SIZE)` in the client, via the
+    /// chain below us — an agent allocating memory is itself just a client
+    /// of the interface.
+    fn allocate(ctx: &mut SymCtx<'_, '_>) -> Result<u64, Errno> {
         match ctx.down_args(Sysno::Sbrk, [SCRATCH_SIZE, 0, 0, 0, 0, 0]) {
-            ia_kernel::SysOutcome::Done(Ok([old, _])) => {
-                self.inner.lock().unwrap().base = Some(old);
-                Ok(old)
-            }
+            ia_kernel::SysOutcome::Done(Ok([old, _])) => Ok(old),
             ia_kernel::SysOutcome::Done(Err(e)) => Err(e),
             _ => Err(Errno::ENOMEM),
         }
     }
 
-    /// Stages raw bytes in client memory, returning their address.
+    /// Stages raw bytes in client memory, returning their address. Once
+    /// the region exists this takes the lock once; the first call drops
+    /// it around the `sbrk` downcall.
     pub fn write(&self, ctx: &mut SymCtx<'_, '_>, bytes: &[u8]) -> Result<u64, Errno> {
-        let base = self.ensure(ctx)?;
-        let addr = {
-            let mut inner = self.inner.lock().unwrap();
-            let len = bytes.len() as u64;
-            if inner.used + len > SCRATCH_SIZE {
-                return Err(Errno::ENOMEM);
+        let mut inner = self.inner.lock().unwrap();
+        let base = match inner.base {
+            Some(b) => b,
+            None => {
+                drop(inner);
+                let b = Self::allocate(ctx)?;
+                inner = self.inner.lock().unwrap();
+                inner.base = Some(b);
+                b
             }
-            let addr = base + inner.used;
-            inner.used += (len + 7) & !7;
-            addr
         };
+        let len = bytes.len() as u64;
+        if inner.used + len > SCRATCH_SIZE {
+            return Err(Errno::ENOMEM);
+        }
+        let addr = base + inner.used;
+        inner.used += (len + 7) & !7;
+        drop(inner);
         ctx.write_bytes(addr, bytes)?;
         Ok(addr)
     }

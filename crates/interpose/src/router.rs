@@ -1,11 +1,9 @@
 //! The interposed router: attaches agent chains to the scheduler's trap
 //! path.
 
-use std::collections::HashMap;
-
 use ia_abi::{RawArgs, Signal, Sysno};
 use ia_kernel::{
-    BatchCall, FastMode, FastSpec, Kernel, KernelSnapshot, Pid, SysOutcome, SyscallRouter,
+    BatchCall, FastMode, FastSpec, Kernel, KernelSnapshot, Pid, PidMap, SysOutcome, SyscallRouter,
 };
 
 use crate::agent::{dispatch_chain_from, signal_chain, Agent, SysCtx};
@@ -169,7 +167,7 @@ impl Chain {
 /// ```
 #[derive(Default)]
 pub struct InterposedRouter {
-    chains: HashMap<Pid, Chain>,
+    chains: PidMap<Chain>,
     /// Observation counters.
     pub stats: RouterStats,
 }
@@ -383,7 +381,7 @@ impl SyscallRouter for InterposedRouter {
         args: RawArgs,
         restarts: u32,
     ) -> SysOutcome {
-        let next_pid_before = k.pids().last().copied().unwrap_or(0);
+        let next_pid_before = k.next_pid();
 
         let out = match self.chains.get_mut(&pid) {
             None => {
@@ -464,15 +462,13 @@ impl SyscallRouter for InterposedRouter {
 
         // Any child created during this trap (fork, possibly issued from
         // inside an agent or under a remapped number) inherits the chain.
+        // Pids are allocated in increasing order, so those children are
+        // exactly the live pids born in this trap whose parent is `pid`.
         if self.has_chain(pid) {
-            let new_children: Vec<Pid> = k
-                .pids()
-                .into_iter()
-                .filter(|&p| p > next_pid_before)
-                .filter(|&p| k.proc(p).is_ok_and(|pr| pr.ppid == pid))
-                .collect();
-            for child in new_children {
-                self.fork_chain(k, pid, child);
+            for child in next_pid_before..k.next_pid() {
+                if k.proc(child).is_ok_and(|pr| pr.ppid == pid) {
+                    self.fork_chain(k, pid, child);
+                }
             }
         }
         out

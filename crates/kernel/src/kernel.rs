@@ -15,7 +15,7 @@ use crate::clock::{Clock, MachineProfile};
 use crate::console::{Console, DEV_NULL, DEV_TTY, DEV_ZERO};
 use crate::exec_cache::{ExecCache, PreparedImage};
 use crate::files::{FdEntry, FdTable, FileKind, OpenFiles, SockId};
-use crate::process::{Pid, ProcState, Process, SigState, Usage, WaitChannel};
+use crate::process::{Pid, PidMap, ProcState, Process, SigState, Usage, WaitChannel};
 use crate::socket::SocketTable;
 
 /// Outcome of a bottom-level system call.
@@ -234,10 +234,10 @@ pub struct Kernel {
     pub files: OpenFiles,
     /// Socket table.
     pub sockets: SocketTable,
-    pub(crate) procs: HashMap<Pid, Process>,
+    pub(crate) procs: PidMap<Process>,
     pub(crate) next_pid: Pid,
     pub(crate) wakeups: Vec<WakeEvent>,
-    pub(crate) exit_log: HashMap<Pid, u32>,
+    pub(crate) exit_log: PidMap<u32>,
     pub(crate) flocks: HashMap<Ino, FlockState>,
     /// Pids currently `Runnable`, maintained on every state transition so
     /// the scheduler's round-robin pick is a range query, not a scan.
@@ -436,10 +436,10 @@ impl KernelBuilder {
             console: Console::new(),
             files: OpenFiles::new(),
             sockets: SocketTable::new(),
-            procs: HashMap::new(),
+            procs: PidMap::default(),
             next_pid: 1,
             wakeups: Vec::new(),
-            exit_log: HashMap::new(),
+            exit_log: PidMap::default(),
             flocks: HashMap::new(),
             run_queue: BTreeSet::new(),
             blocked_queue: BTreeSet::new(),
@@ -669,6 +669,15 @@ impl Kernel {
         let mut v: Vec<Pid> = self.procs.keys().copied().collect();
         v.sort_unstable();
         v
+    }
+
+    /// The pid the next new process will get. Pids are allocated in
+    /// increasing order, so every process created after this call (short
+    /// of a [`Kernel::restore`] rewinding the world) has a pid at least
+    /// this large.
+    #[must_use]
+    pub fn next_pid(&self) -> Pid {
+        self.next_pid
     }
 
     /// Number of processes that are not zombies.

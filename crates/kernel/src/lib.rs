@@ -36,7 +36,10 @@ pub use kernel::{
     push_args, Engine, ExecGate, FastPathStats, FusionStats, Kernel, KernelBuilder, PerfCounters,
     SysOutcome, WakeEvent,
 };
-pub use process::{PendingTrap, Pid, ProcState, Process, SigAction, SigState, Usage, WaitChannel};
+pub use process::{
+    PendingTrap, Pid, PidHasher, PidMap, ProcState, Process, SigAction, SigState, Usage,
+    WaitChannel,
+};
 pub use sched::{
     run, run_legacy, FastSpec, KernelRouter, RunLimits, RunOutcome, SyscallRouter, SLICE,
 };

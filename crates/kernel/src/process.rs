@@ -1,5 +1,7 @@
 //! Process state: machine context, credentials, descriptors, signals.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use ia_abi::signal::{SigDisposition, SigSet, Signal};
@@ -11,6 +13,39 @@ use crate::files::FdTable;
 
 /// Process identifier.
 pub type Pid = u32;
+
+/// A map keyed by pid: the process table, the exit log, agent chains.
+///
+/// Pids are assigned by the kernel, never chosen by the guest, so these
+/// maps need no flood-resistant hashing; [`PidHasher`] replaces SipHash.
+/// No code may depend on the iteration order of a `PidMap`.
+pub type PidMap<V> = HashMap<Pid, V, BuildHasherDefault<PidHasher>>;
+
+/// A deterministic multiplicative hasher for [`PidMap`] keys. The odd
+/// multiplier maps distinct low bits of a pid to distinct low bits of the
+/// hash, so consecutive pids land in distinct buckets.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PidHasher(u64);
+
+impl PidHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for PidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(Self::K);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(Self::K);
+    }
+}
 
 /// Something a blocked process is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -25,7 +25,7 @@ use crate::clock::Clock;
 use crate::console::Console;
 use crate::files::OpenFiles;
 use crate::kernel::{FastPathStats, FlockState, Kernel, PerfCounters, WakeEvent};
-use crate::process::{Pid, ProcState, Process};
+use crate::process::{Pid, PidMap, ProcState, Process};
 use crate::socket::SocketTable;
 
 /// Complete observable machine state after (or during) a run.
@@ -85,10 +85,10 @@ pub struct KernelSnapshot {
     console: Console,
     files: OpenFiles,
     sockets: SocketTable,
-    procs: HashMap<Pid, Process>,
+    procs: PidMap<Process>,
     next_pid: Pid,
     wakeups: Vec<WakeEvent>,
-    exit_log: HashMap<Pid, u32>,
+    exit_log: PidMap<u32>,
     flocks: HashMap<Ino, FlockState>,
     run_queue: BTreeSet<Pid>,
     blocked_queue: BTreeSet<Pid>,

@@ -7,6 +7,7 @@ use ia_abi::types::IoVec;
 use ia_abi::{Errno, FcntlCmd, OpenFlags, RawArgs, Timeval, Whence};
 use ia_vfs::pipe::PipeIo;
 use ia_vfs::InodeKind;
+use ia_vm::AddressSpace;
 
 use super::{done, SysOutcome};
 use crate::console::DevRead;
@@ -103,14 +104,26 @@ impl Kernel {
         }
     }
 
-    fn do_write(&mut self, pid: Pid, fd: u64, data: &[u8]) -> Result<Xfer, Errno> {
-        let entry = self.proc(pid)?.fds.get(fd)?;
+    /// Writes the bytes `gather` reads from `pid`'s memory to `fd`. The
+    /// bytes are read before the descriptor is checked (a bad buffer fails
+    /// before a bad descriptor does) and are written straight from the
+    /// borrowed pages: `gather` borrows the process table, the write
+    /// borrows the filesystem or the console.
+    fn do_write(
+        &mut self,
+        pid: Pid,
+        fd: u64,
+        gather: impl FnOnce(&AddressSpace) -> Result<Cow<'_, [u8]>, Errno>,
+    ) -> Result<Xfer, Errno> {
+        let p = self.procs.get(&pid).ok_or(Errno::ESRCH)?;
+        let data = gather(&p.mem)?;
+        let entry = p.fds.get(fd)?;
         let file = self.files.get(entry.file)?;
         if !file.flags.writable() {
             return Err(Errno::EBADF);
         }
         let (kind, flags, offset) = (file.kind, file.flags, file.offset);
-        match kind {
+        let pipe = match kind {
             FileKind::Vnode(ino) => {
                 let now = self.clock.now();
                 let off = if flags.has(OpenFlags::O_APPEND) {
@@ -118,37 +131,30 @@ impl Kernel {
                 } else {
                     offset
                 };
-                let n = self.fs.write_at(ino, off, data, now)?;
+                let n = self.fs.write_at(ino, off, &data, now)?;
                 self.files.get_mut(entry.file)?.offset = off + n as u64;
                 self.clock.advance_ns(n as u64 * self.profile.io_byte_ns());
                 self.proc_mut(pid)?.usage.oublock += 1;
-                Ok(Xfer::Wrote(n))
+                return Ok(Xfer::Wrote(n));
             }
-            FileKind::PipeWrite(id) => self.pipe_write(pid, id, data, flags),
-            FileKind::PipeRead(_) => Err(Errno::EBADF),
             FileKind::Device(dev) => {
-                let n = self.console.device_write(dev, data)?;
+                let n = self.console.device_write(dev, &data)?;
                 self.proc_mut(pid)?.usage.oublock += 1;
-                Ok(Xfer::Wrote(n))
+                return Ok(Xfer::Wrote(n));
             }
-            FileKind::Socket(sid) => {
-                let (_, tx) = self.sock_pipes(sid)?;
-                self.pipe_write(pid, tx, data, flags)
-            }
-        }
-    }
-
-    fn pipe_write(
-        &mut self,
-        pid: Pid,
-        id: ia_vfs::PipeId,
-        data: &[u8],
-        flags: OpenFlags,
-    ) -> Result<Xfer, Errno> {
-        let pipe = self.fs.pipes.get_mut(id).ok_or(Errno::EBADF)?;
-        match pipe.write(data) {
+            FileKind::PipeRead(_) => return Err(Errno::EBADF),
+            FileKind::PipeWrite(id) => id,
+            FileKind::Socket(sid) => self.sock_pipes(sid)?.1,
+        };
+        let io = self
+            .fs
+            .pipes
+            .get_mut(pipe)
+            .ok_or(Errno::EBADF)?
+            .write(&data);
+        match io {
             PipeIo::Done(n) => {
-                self.wakeups.push(WakeEvent::Pipe(id));
+                self.wakeups.push(WakeEvent::Pipe(pipe));
                 Ok(Xfer::Wrote(n))
             }
             PipeIo::Hangup => {
@@ -160,7 +166,7 @@ impl Kernel {
                 if flags.has(OpenFlags::O_NONBLOCK) {
                     Err(Errno::EWOULDBLOCK)
                 } else {
-                    Ok(Xfer::Block(WaitChannel::PipeWritable(id)))
+                    Ok(Xfer::Block(WaitChannel::PipeWritable(pipe)))
                 }
             }
         }
@@ -186,15 +192,8 @@ impl Kernel {
 
     /// `write(fd, buf, nbyte)`
     pub(crate) fn sys_write(&mut self, pid: Pid, args: &RawArgs) -> SysOutcome {
-        let data = match self.proc(pid).and_then(|p| {
-            p.mem
-                .read_bytes(args[1], (args[2] as usize).min(MAX_IO))
-                .map(Cow::into_owned)
-        }) {
-            Ok(d) => d,
-            Err(e) => return SysOutcome::err(e),
-        };
-        match self.do_write(pid, args[0], &data) {
+        let len = (args[2] as usize).min(MAX_IO);
+        match self.do_write(pid, args[0], |mem| mem.read_bytes(args[1], len)) {
             Ok(Xfer::Wrote(n)) => SysOutcome::ok1(n as u64),
             Ok(Xfer::Data(_)) => unreachable!("write never reads"),
             Ok(Xfer::Block(ch)) => SysOutcome::Block(ch),
@@ -251,18 +250,15 @@ impl Kernel {
             Ok(v) => v,
             Err(e) => return SysOutcome::err(e),
         };
-        let mut data = Vec::new();
-        for v in &iov {
-            match self.proc(pid).and_then(|p| {
-                p.mem
-                    .read_bytes(v.base, (v.len as usize).min(MAX_IO - data.len()))
-                    .map(Cow::into_owned)
-            }) {
-                Ok(d) => data.extend(d),
-                Err(e) => return SysOutcome::err(e),
+        let gathered = self.do_write(pid, args[0], |mem| {
+            let mut data = Vec::new();
+            for v in &iov {
+                let len = (v.len as usize).min(MAX_IO - data.len());
+                data.extend_from_slice(&mem.read_bytes(v.base, len)?);
             }
-        }
-        match self.do_write(pid, args[0], &data) {
+            Ok(Cow::Owned(data))
+        });
+        match gathered {
             Ok(Xfer::Wrote(n)) => SysOutcome::ok1(n as u64),
             Ok(Xfer::Block(ch)) => SysOutcome::Block(ch),
             Ok(Xfer::Data(_)) => unreachable!(),

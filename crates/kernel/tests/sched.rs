@@ -159,3 +159,47 @@ fn virtual_clock_equals_instructions_plus_syscalls() {
         k.total_insns * k.profile.insn_ns + k.profile.syscall_base_ns(ia_abi::Sysno::Exit);
     assert_eq!(k.clock.elapsed_ns(), expected);
 }
+
+/// The trap lane lives inside the fused burst, so the fast-path knob is
+/// inert under `Engine::Plain`: with it on, a trap-heavy program gets no
+/// lane hits at all, and runs exactly as with it off. (The conformance
+/// matrix relies on this to run one plain cell, not two.) The fused
+/// engine is the control: there the same program does hit the lane.
+#[test]
+fn fast_path_is_inert_on_the_plain_engine() {
+    let prog = ia_vm::assemble(
+        r#"
+        main:
+            li r10, 500
+        l:  sys getpid
+            li r0, 0
+            li r1, 0
+            sys gettimeofday
+            addi r10, r10, -1
+            jnz r10, l
+            li r0, 0
+            sys exit
+        "#,
+    )
+    .unwrap();
+    let go = |engine: Engine, fast_path: bool| {
+        let mut k = KernelBuilder::new()
+            .engine(engine)
+            .fast_path(fast_path)
+            .build();
+        k.spawn_image(&prog, &[b"l"], b"l");
+        assert_eq!(k.run_with(&mut KernelRouter), RunOutcome::AllExited);
+        let seen = (k.total_insns, k.clock.elapsed_ns(), k.observable());
+        (k.fast_stats.hits(), k.fast_stats.misses(), seen)
+    };
+    let (hits, misses, plain_fast) = go(Engine::Plain, true);
+    assert_eq!(hits, 0, "no lane hits on the plain engine");
+    assert_eq!(
+        misses, 1000,
+        "every getpid/gettimeofday took the dispatcher"
+    );
+    assert_eq!(go(Engine::Plain, false), (0, 1000, plain_fast.clone()));
+    let (fused_hits, _, fused_seen) = go(Engine::Fused, true);
+    assert!(fused_hits > 0, "control: the fused engine opens the lane");
+    assert_eq!(fused_seen, plain_fast);
+}

@@ -341,6 +341,10 @@ impl FileContent {
 
     /// Writes `data` at `off`, zero-filling any hole before it.
     pub fn write_at(&mut self, off: usize, data: &[u8]) {
+        if off == self.len {
+            self.append(data);
+            return;
+        }
         let end = off + data.len();
         if end > self.len {
             self.resize(end);
@@ -355,6 +359,21 @@ impl FileContent {
             pos += take;
             src += take;
         }
+    }
+
+    /// Appends `data`: tops up the last chunk (one copy-on-write of it at
+    /// most), then pushes whole chunks, copying each byte once.
+    fn append(&mut self, mut data: &[u8]) {
+        self.len += data.len();
+        if let Some(last) = self.chunks.last_mut() {
+            let take = data.len().min(CHUNK_SIZE - last.len());
+            if take > 0 {
+                Arc::make_mut(last).extend_from_slice(&data[..take]);
+                data = &data[take..];
+            }
+        }
+        self.chunks
+            .extend(data.chunks(CHUNK_SIZE).map(|c| Arc::new(c.to_vec())));
     }
 
     /// The chunks in file order, for streaming consumers (digests). The
@@ -495,6 +514,29 @@ mod tests {
             .filter(|(x, y)| Arc::ptr_eq(x, y))
             .count();
         assert_eq!(shared, 9, "only the written chunk was copied");
+    }
+
+    #[test]
+    fn content_append_keeps_chunk_invariant_and_snapshots() {
+        let mut f = FileContent::new();
+        let mut flat = Vec::new();
+        let mut snaps = Vec::new();
+        for (i, n) in [1, CHUNK_SIZE - 2, 3, 2 * CHUNK_SIZE + 7, 0, 36, CHUNK_SIZE]
+            .into_iter()
+            .enumerate()
+        {
+            let data = vec![i as u8 + 1; n];
+            snaps.push((f.clone(), flat.clone()));
+            f.write_at(f.len(), &data);
+            flat.extend_from_slice(&data);
+            assert_eq!(f.len(), flat.len());
+            assert_eq!(f.to_vec(), flat);
+            let sizes: Vec<usize> = f.chunks().map(<[u8]>::len).collect();
+            assert!(sizes[..sizes.len() - 1].iter().all(|&s| s == CHUNK_SIZE));
+        }
+        for (snap, want) in snaps {
+            assert_eq!(snap.to_vec(), want, "appends never touch a snapshot");
+        }
     }
 
     #[test]

@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --release -- -D warnings
 ./scripts/tier1.sh
+# The benchmark's own checks: reference equality, tracing inertness and
+# wrapper forwarding over the trace agent and the router (perfbench is a
+# package of its own, so the workspace test run above does not reach it).
+cargo test --release --manifest-path perfbench/Cargo.toml
 # Bench smoke check: trap throughput (fast path) and compute throughput
 # (fused engine) must both stay within 20% of the committed BENCH_1
 # baseline. Runs before --json below rewrites the file.
